@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from . import criteria, sweep as sweep_mod
+from . import sweep as sweep_mod
 from .decompose import lemma31_extract
 from .directions import check_complementarity
 from .errors import PPKitError

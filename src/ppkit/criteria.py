@@ -14,7 +14,7 @@ from .errors import (
     WrongCharacteristic,
 )
 from .families import theorem_info
-from .gf import FieldCtx
+from .gf import FieldCtx, power_class, trace_sum
 from .tower import TowerCtx
 
 
@@ -25,21 +25,8 @@ class Verdict:
     notes: Optional[str] = None
 
 
-def _is_square_enc(ctx: FieldCtx, x: int) -> bool:
-    if x == 0:
-        return True
-    return ctx.pow(x, (ctx.q - 1) // 2) == 1
-
-
-def _is_fourth_enc(ctx: FieldCtx, x: int) -> bool:
-    if x == 0:
-        return True
-    d = math.gcd(4, ctx.q - 1)
-    return ctx.pow(x, (ctx.q - 1) // d) == 1
-
-
 def _fourth_or_not_square(ctx: FieldCtx, x: int) -> bool:
-    return _is_fourth_enc(ctx, x) or not _is_square_enc(ctx, x)
+    return power_class(ctx, x, 4) or not power_class(ctx, x, 2)
 
 
 def cubic_norm_pp(ctx: FieldCtx, c: int) -> bool:
@@ -47,7 +34,7 @@ def cubic_norm_pp(ctx: FieldCtx, c: int) -> bool:
     if ctx.p == 2:
         raise WrongCharacteristic("cubic criterion is for odd q")
     q = ctx.q
-    if q % 3 == 0 and not _is_square_enc(ctx, c):
+    if q % 3 == 0 and not power_class(ctx, c, 2):
         return True
     return q % 3 != 1 and c == 0
 
@@ -75,7 +62,7 @@ def quintic_norm_pp(ctx: FieldCtx, A: int, B: int) -> bool:
         return q % 5 != 1
     if q % 5 == 0 and A == 0:
         # z^5 + Bz is linearized; permutes iff -B has no fourth root
-        return not _is_fourth_enc(ctx, ctx.neg(B)) if B != 0 else True
+        return not power_class(ctx, ctx.neg(B), 4) if B != 0 else True
     if q == 9 and A == 0 and ctx.mul(B, B) == ctx.scalar(2):
         return True
     if q % 5 in (2, 3) and ctx.mul(A, A) == ctx.mul(ctx.scalar(5), B):
@@ -84,13 +71,13 @@ def quintic_norm_pp(ctx: FieldCtx, A: int, B: int) -> bool:
         q == 13
         and B == ctx.mul(ctx.scalar(3), ctx.mul(A, A))
         and A != 0
-        and not _is_square_enc(ctx, A)
+        and not power_class(ctx, A, 2)
     ):
         return True
     if q % 5 == 0 and A != 0:
         # z*(z^2 - s)^2 with s = -A/2; permutes iff s has no square root
         s = ctx.neg(ctx.div(A, ctx.scalar(2)))
-        if B == ctx.mul(s, s) and not _is_square_enc(ctx, s):
+        if B == ctx.mul(s, s) and not power_class(ctx, s, 2):
             return True
     return False
 
@@ -194,7 +181,7 @@ def _statement_predict(
         return B.scalar(n)
 
     def sq(x: int) -> bool:
-        return _is_square_enc(B, x)
+        return power_class(B, x, 2)
 
     mul, add, sub, div, powe, neg = B.mul, B.add, B.sub, B.div, B.pow, B.neg
     half = B.inv(s(2))
@@ -452,15 +439,7 @@ def reduce_trace_composed(g_coeffs, field: FieldCtx, n: int) -> list[int]:
     q = field.p ** (field.m // n)
     if len(g_coeffs) != q - 1:
         raise ValueError("g_coeffs must be indexed 1..q-1 (reduce first)")
-    out = []
-    for a in g_coeffs:
-        tr = 0
-        power = a
-        for _ in range(n):
-            tr = field.add(tr, power)
-            power = field.pow(power, q)
-        out.append(tr)
-    return out
+    return [trace_sum(field, a, q, n) for a in g_coeffs]
 
 
 def h_permutes_subfield(field: FieldCtx, q: int, h_coeffs) -> bool:

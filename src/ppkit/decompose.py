@@ -9,13 +9,13 @@ numerically by evaluating f along the proof substitution and interpolating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DependentBasis, KindContextMismatch, SingularMatrix
 from .families import ComponentTable, FamilySpec, eval_family
 from .gf import FieldCtx, FieldElem
-from .oracle import OracleReport, is_bijection, multivar_bijection
+from .oracle import is_bijection, multivar_bijection
 from .tower import TowerCtx, proof_substitution
 
 

@@ -14,17 +14,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DomainTooLarge
-from .gf import FieldCtx
 from .tower import TowerCtx
 
 MAX_DIRECTION_FIELD = 2**12
-
-
-def _ops(ctx):
-    """Uniform encoding-level ops for FieldCtx and TowerCtx."""
-    if isinstance(ctx, TowerCtx):
-        return ctx.order, ctx.add, ctx.sub, ctx.mul, ctx.inv, ctx.neg
-    return ctx.q, ctx.add, ctx.sub, ctx.mul, ctx.inv, ctx.neg
 
 
 def direction_set(
@@ -35,22 +27,18 @@ def direction_set(
     With restrict_to_base (tower contexts only) the denominators x - y are
     limited to the base field, giving the direction set of f along F_q lines.
     """
-    size, add, sub, mul, inv, neg = _ops(ctx)
+    size, add, sub, mul, inv = ctx.order, ctx.add, ctx.sub, ctx.mul, ctx.inv
     if size > MAX_DIRECTION_FIELD:
         raise DomainTooLarge(f"|F| = {size} exceeds {MAX_DIRECTION_FIELD}")
-    images = [f(x) for x in range(size)]
-    out: set[int] = set()
+    diffs = range(1, size)
     if restrict_to_base:
         if not isinstance(ctx, TowerCtx):
             raise DomainTooLarge("restrict_to_base needs a tower context")
         diffs = [ctx.embed(h) for h in range(1, ctx.q)]
-        for x in range(size):
-            for h in diffs:
-                xa = add(x, h)
-                out.add(mul(sub(images[xa], images[x]), inv(h)))
-        return out
+    images = [f(x) for x in range(size)]
+    out: set[int] = set()
     for x in range(size):
-        for h in range(1, size):
+        for h in diffs:
             xa = add(x, h)
             out.add(mul(sub(images[xa], images[x]), inv(h)))
     return out
@@ -58,7 +46,7 @@ def direction_set(
 
 def permuting_translate_set(f: Callable[[int], int], ctx) -> set[int]:
     """All gamma for which x -> f(x) + gamma*x permutes the field."""
-    size, add, sub, mul, inv, neg = _ops(ctx)
+    size, add, mul = ctx.order, ctx.add, ctx.mul
     if size > MAX_DIRECTION_FIELD:
         raise DomainTooLarge(f"|F| = {size} exceeds {MAX_DIRECTION_FIELD}")
     images = [f(x) for x in range(size)]
@@ -87,10 +75,10 @@ class DirectionReport:
 
 def check_complementarity(f: Callable[[int], int], ctx) -> DirectionReport:
     """Verify the direction/permuting-slope duality for f on the whole field."""
-    size, add, sub, mul, inv, neg = _ops(ctx)
+    size = ctx.order
     D = direction_set(f, ctx)
     P = permuting_translate_set(f, ctx)
-    comp = all((m in D) != (neg(m) in P) for m in range(size))
+    comp = all((m in D) != (ctx.neg(m) in P) for m in range(size))
     return DirectionReport(
         frozenset(D), frozenset(P), comp, len(D) + len(P) == size
     )

@@ -53,10 +53,6 @@ class DomainTooLarge(PPKitError):
     """Domain exceeds the oracle's enumeration bound."""
 
 
-class NotAdditive(PPKitError):
-    """Sampled additivity check failed for a claimed linearized map."""
-
-
 class ExponentOutOfRange(PPKitError):
     """Instantiated exponent falls outside (0, q^2 - 1)."""
 
@@ -81,5 +77,9 @@ class SingularMatrix(PPKitError):
     """Decomposition twist matrix is not invertible."""
 
 
-class DegreeOverflow(PPKitError):
-    """Interpolated degree reaches q; coefficient form is ambiguous."""
+class InvalidConfig(PPKitError):
+    """A plan file or an environment setting is malformed."""
+
+
+class LeftBaseField(PPKitError):
+    """A tower trace or norm left the base field; indicates a bug, not bad input."""

@@ -13,14 +13,14 @@ s = e_q * q + e_1, and ("ppow", i) denotes s = q + p^i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     ExponentOutOfRange,
     KindContextMismatch,
     UnknownTheorem,
 )
-from .gf import FieldCtx, FieldElem, trace_and_norm
+from .gf import FieldCtx, FieldElem, trace_sum
 from .tower import TowerCtx, TowerElem
 
 
@@ -118,11 +118,7 @@ def eval_family(spec: FamilySpec, ctx, x):
             x = x.enc
         w = ctx.mul(ctx.pow(x, q), x)  # x^{q+1}
         t = ctx.add(w, ctx.mul(w, w))  # x^{q+1} + x^{2q+2}
-        tr = 0
-        power = t
-        for _ in range(spec.d):
-            tr = ctx.add(tr, power)
-            power = ctx.pow(power, q)
+        tr = trace_sum(ctx, t, q, spec.d)
         return ctx.elem(ctx.add(x, ctx.mul(spec.gamma, tr)))
 
     if spec.kind == "trace_composed":
@@ -133,11 +129,7 @@ def eval_family(spec: FamilySpec, ctx, x):
             raise ValueError("g_coeffs must have length q - 1 (reduce first)")
         if isinstance(x, FieldElem):
             x = x.enc
-        tr = 0
-        power = x
-        for _ in range(spec.n):
-            tr = ctx.add(tr, power)
-            power = ctx.pow(power, q)
+        tr = trace_sum(ctx, x, q, spec.n)
         acc = x
         tpow = 1
         for a_i in spec.g_coeffs:

@@ -1,9 +1,10 @@
-"""Arithmetic in F_p and F_{p^m}.
+"""Arithmetic in F_p and F_{p^m}, and the arithmetic core shared with towers.
 
 Elements are represented by their integer encoding enc(x) = sum coeffs[i] * p^i,
 a bijection onto [0, q).  The modulus is always the least monic irreducible of
 degree m under that encoding, so two processes constructing the same (p, m)
-agree bit for bit.
+agree bit for bit.  Dense tables and vector powers of every context come from
+log/antilog tables of its least primitive element.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 from .errors import (
     DegreeTooLarge,
     DivisionByZero,
+    InvalidConfig,
     InvalidSubfield,
     MixedContexts,
     NoIrreducibleFound,
@@ -32,7 +34,11 @@ TABLE_LIMIT = 2048
 
 def max_field_size() -> int:
     """Field-size bound; overridable through the PPKIT_MAX_Q env var."""
-    return int(os.environ.get("PPKIT_MAX_Q", DEFAULT_MAX_Q))
+    raw = os.environ.get("PPKIT_MAX_Q", str(DEFAULT_MAX_Q))
+    try:
+        return int(raw)
+    except ValueError:
+        raise InvalidConfig(f"PPKIT_MAX_Q={raw!r} is not an integer") from None
 
 
 def is_prime(n: int) -> bool:
@@ -78,23 +84,6 @@ def _poly_mod(a, mod, p):
     return _poly_trim(a)
 
 
-def _poly_divmod(a, b, p):
-    a = list(a)
-    db = len(b) - 1
-    if db < 0:
-        raise ZeroDivisionError
-    inv_lead = pow(b[-1], p - 2, p)
-    quo = [0] * max(len(a) - db, 0)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
-        if c:
-            qc = c * inv_lead % p
-            quo[i - db] = qc
-            for j in range(db + 1):
-                a[i - db + j] = (a[i - db + j] - qc * b[j]) % p
-    return _poly_trim(quo), _poly_trim(a)
-
-
 def _enc_to_poly(e: int, p: int) -> tuple[int, ...]:
     c = []
     while e:
@@ -111,31 +100,16 @@ def _poly_to_enc(c, p: int) -> int:
 
 
 def _is_irreducible(c, p: int) -> bool:
-    """Irreducibility of a monic polynomial over F_p.
-
-    Degree <= 3 reduces to a root check; higher degrees use full trial
-    division by every monic polynomial of degree up to deg/2.
-    """
+    """Irreducibility of a monic polynomial over F_p, by trial division by
+    every monic polynomial of degree up to deg/2."""
     deg = len(c) - 1
     if deg <= 0:
         return False
-    if deg == 1:
-        return True
-    if deg <= 3:
-        return all(_poly_eval_int(c, x, p) != 0 for x in range(p))
     for d in range(1, deg // 2 + 1):
         for enc in range(p**d, 2 * p**d):  # monic of degree d
-            div = _enc_to_poly(enc, p)
-            if not _poly_divmod(c, div, p)[1]:
+            if not _poly_mod(c, _enc_to_poly(enc, p), p):
                 return False
     return True
-
-
-def _poly_eval_int(c, x: int, p: int) -> int:
-    v = 0
-    for ci in reversed(c):
-        v = (v * x + ci) % p
-    return v
 
 
 @functools.cache
@@ -151,41 +125,228 @@ def _least_irreducible(p: int, m: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# field context and elements
+# shared encoding-level arithmetic and elements
 # ---------------------------------------------------------------------------
 
-class FieldCtx:
+class ArithElem:
+    """Element of a field context, identified by its integer encoding.
+
+    The operators defer to the context; integers act as the scalars n * 1.
+    """
+
+    __slots__ = ("ctx", "enc")
+
+    def __init__(self, ctx, enc: int):
+        self.ctx = ctx
+        self.enc = enc
+
+    def _same(self, other) -> int:
+        if isinstance(other, int):
+            return self.ctx.scalar(other)
+        if not isinstance(other, ArithElem) or other.ctx is not self.ctx:
+            raise MixedContexts("operands from different fields")
+        return other.enc
+
+    def _new(self, enc: int):
+        return type(self)(self.ctx, enc)
+
+    def __add__(self, other):
+        return self._new(self.ctx.add(self.enc, self._same(other)))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._new(self.ctx.sub(self.enc, self._same(other)))
+
+    def __rsub__(self, other):
+        return self._new(self.ctx.sub(self._same(other), self.enc))
+
+    def __mul__(self, other):
+        return self._new(self.ctx.mul(self.enc, self._same(other)))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return self._new(self.ctx.div(self.enc, self._same(other)))
+
+    def __rtruediv__(self, other):
+        return self._new(self.ctx.div(self._same(other), self.enc))
+
+    def __pow__(self, e: int):
+        return self._new(self.ctx.pow(self.enc, e))
+
+    def __neg__(self):
+        return self._new(self.ctx.neg(self.enc))
+
+    def __eq__(self, other):
+        if isinstance(other, int):
+            return self.enc == self.ctx.scalar(other)
+        return (
+            isinstance(other, ArithElem)
+            and other.ctx is self.ctx
+            and other.enc == self.enc
+        )
+
+    def __hash__(self):
+        return hash((id(self.ctx), self.enc))
+
+    def __bool__(self):
+        return self.enc != 0
+
+
+class FieldElem(ArithElem):
+    """Element of a FieldCtx."""
+
+    __slots__ = ()
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        return self.ctx.coeffs(self.enc)
+
+    def __repr__(self):
+        return f"<{self.enc} in F_{self.ctx.q}>"
+
+
+class ArithCtx:
+    """Encoding-level arithmetic shared by FieldCtx and TowerCtx.
+
+    A subclass sets elem_type and provides add, neg and mul; the rest,
+    including the dense tables, is derived from those.
+    """
+
+    def __init__(self, p: int, order: int):
+        self.p = p
+        self.order = order
+        # instance attributes, not class defaults: the hot scalar paths read
+        # them on every call
+        self._tables = None
+        self._inv_table = None
+
+    def elem(self, enc: int):
+        if not 0 <= enc < self.order:
+            raise ValueError(f"encoding {enc} out of [0, {self.order})")
+        return self.elem_type(self, enc)
+
+    def elements(self):
+        return (self.elem_type(self, e) for e in range(self.order))
+
+    def scalar(self, n: int) -> int:
+        """Embedding of the integer n (image of n * 1)."""
+        return n % self.p
+
+    def sub(self, x: int, y: int) -> int:
+        return self.add(x, self.neg(y))
+
+    def inv(self, x: int) -> int:
+        if x == 0:
+            raise DivisionByZero("inverse of zero")
+        t = self._inv_table
+        if t is not None:
+            return int(t[x])
+        return self.pow(x, self.order - 2)
+
+    def div(self, x: int, y: int) -> int:
+        return self.mul(x, self.inv(y))
+
+    def pow(self, x: int, e: int) -> int:
+        if e < 0:
+            raise ValueError("exponent must be >= 0")
+        if x == 0:
+            return 1 if e == 0 else 0  # empty-product convention at e = 0
+        e %= self.order - 1
+        result = 1
+        base = x
+        while e:
+            if e & 1:
+                result = self.mul(result, base)
+            base = self.mul(base, base)
+            e >>= 1
+        return result
+
+    # -- log/antilog and dense tables -----------------------------------------
+
+    def _dense_tables(self):
+        """(ADD, MUL, NEG, INV) int32 tables over encodings, built once.
+
+        exp[k] = g^k for the least primitive g, walked with the scalar mul,
+        and log inverts it.  MUL = exp[(log x + log y) mod (order - 1)] with
+        zero row and column; INV[0] = 0; NEG is the MUL row of -1.  ADD is
+        digit-wise addition mod p of the p-adic encodings, which covers the
+        tower encoding c0 + q*c1 too.
+        """
+        if self._tables is None:
+            n, p = self.order, self.p
+            for g in range(1, n):  # stops at the least primitive element
+                powers, x = [1], g
+                while x != 1:
+                    powers.append(x)
+                    x = self.mul(x, g)
+                if len(powers) == n - 1:
+                    break
+            exp = np.array(powers, dtype=np.int32)
+            log = np.zeros(n, dtype=np.int32)
+            log[exp] = np.arange(n - 1, dtype=np.int32)
+            s = log[:, None] + log
+            s %= n - 1
+            mul = exp[s]
+            del s
+            mul[0, :] = 0
+            mul[:, 0] = 0
+            xs = np.arange(n, dtype=np.int32)
+            if p == 2:
+                add = xs[:, None] ^ xs
+            else:
+                add = np.zeros((n, n), dtype=np.int32)
+                s = np.empty_like(add)
+                place = 1
+                while place < n:
+                    digit = xs // place % p
+                    np.add(digit[:, None], digit, out=s)
+                    s %= p
+                    s *= place
+                    add += s
+                    place *= p
+            inv = exp[-log % (n - 1)]
+            inv[0] = 0
+            self._exp, self._log = exp, log
+            self._tables = (add, mul, mul[self.scalar(-1)].copy(), inv)
+        return self._tables
+
+    def pow_vec(self, vec: np.ndarray, e: int) -> np.ndarray:
+        """Elementwise vec**e as exp[(e * log v) mod (order - 1)]; 0**0 == 1."""
+        self.tables()
+        if e == 0:
+            return np.ones(len(vec), dtype=np.int32)
+        out = self._exp[self._log[vec] * (e % (self.order - 1)) % (self.order - 1)]
+        out[vec == 0] = 0
+        return out
+
+
+# ---------------------------------------------------------------------------
+# the field F_{p^m}
+# ---------------------------------------------------------------------------
+
+class FieldCtx(ArithCtx):
     """The field F_{p^m} with the canonical (least) irreducible modulus.
 
     Arithmetic methods work on integer encodings; :class:`FieldElem` is a
     thin typed wrapper.  Immutable after construction, safe to share.
     """
 
+    elem_type = FieldElem
+
     def __init__(self, p: int, m: int, _token=None):
         if _token is not _CTX_TOKEN:
             raise TypeError("use build_field(p, m)")
-        self.p = p
+        super().__init__(p, p**m)
         self.m = m
         self.q = p**m
         self.modulus = _least_irreducible(p, m)
-        self._add_table = None
         self._mul_table = None
-        self._neg_table = None
-        self._inv_table = None
-
-    # -- encoding ----------------------------------------------------------
-
-    def elem(self, enc: int) -> "FieldElem":
-        if not 0 <= enc < self.q:
-            raise ValueError(f"encoding {enc} out of [0, {self.q})")
-        return FieldElem(self, enc)
 
     def coeffs(self, enc: int) -> tuple[int, ...]:
         c = _enc_to_poly(enc, self.p)
         return c + (0,) * (self.m - len(c))
-
-    def elements(self):
-        return (FieldElem(self, e) for e in range(self.q))
 
     # -- integer-encoding arithmetic ----------------------------------------
 
@@ -214,9 +375,6 @@ class FieldCtx:
             mult *= p
         return out
 
-    def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.neg(y))
-
     def mul(self, x: int, y: int) -> int:
         t = self._mul_table
         if t is not None:
@@ -226,67 +384,16 @@ class FieldCtx:
         prod = _poly_mul(_enc_to_poly(x, self.p), _enc_to_poly(y, self.p), self.p)
         return _poly_to_enc(_poly_mod(prod, self.modulus, self.p), self.p)
 
-    def inv(self, x: int) -> int:
-        if x == 0:
-            raise DivisionByZero("inverse of zero")
-        t = self._inv_table
-        if t is not None:
-            return int(t[x])
-        return self.pow(x, self.q - 2)
-
-    def div(self, x: int, y: int) -> int:
-        return self.mul(x, self.inv(y))
-
-    def pow(self, x: int, e: int) -> int:
-        if e < 0:
-            raise ValueError("exponent must be >= 0")
-        if x == 0:
-            return 1 if e == 0 else 0  # empty-product convention at e = 0
-        e %= self.q - 1
-        result = 1
-        base = x
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
-
-    def scalar(self, n: int) -> int:
-        """Embedding of the integer n (image of n * 1)."""
-        return n % self.p
-
-    # -- dense tables for vectorized sweeps ---------------------------------
-
     def tables(self):
-        """(ADD, MUL, NEG, INV) numpy tables over encodings; INV[0] = 0."""
-        if self._mul_table is None:
-            if self.q > TABLE_LIMIT:
-                raise DegreeTooLarge(f"q={self.q} exceeds table limit {TABLE_LIMIT}")
-            q = self.q
-            mul = np.empty((q, q), dtype=np.int32)
-            for x in range(q):
-                px = _enc_to_poly(x, self.p)
-                for y in range(x, q):
-                    prod = _poly_mul(px, _enc_to_poly(y, self.p), self.p)
-                    v = _poly_to_enc(_poly_mod(prod, self.modulus, self.p), self.p)
-                    mul[x, y] = v
-                    mul[y, x] = v
-            add = np.empty((q, q), dtype=np.int32)
-            for x in range(q):
-                for y in range(x, q):
-                    v = self.add(x, y)
-                    add[x, y] = v
-                    add[y, x] = v
-            neg = np.array([self.neg(x) for x in range(q)], dtype=np.int32)
-            inv = np.zeros(q, dtype=np.int32)
-            self._add_table = add
-            self._neg_table = neg
-            self._mul_table = mul
-            for x in range(1, q):
-                inv[x] = self.pow(x, q - 2)
-            self._inv_table = inv
-        return self._add_table, self._mul_table, self._neg_table, self._inv_table
+        """(ADD, MUL, NEG, INV) numpy tables over encodings; INV[0] = 0.
+
+        Once they exist, the scalar mul and inv read MUL and INV.
+        """
+        if self.q > TABLE_LIMIT:
+            raise DegreeTooLarge(f"q={self.q} exceeds table limit {TABLE_LIMIT}")
+        tables = self._dense_tables()
+        _, self._mul_table, _, self._inv_table = tables
+        return tables
 
     # -- misc ----------------------------------------------------------------
 
@@ -318,89 +425,6 @@ def build_field(p: int, m: int) -> FieldCtx:
     return FieldCtx(p, m, _token=_CTX_TOKEN)
 
 
-class FieldElem:
-    """Element of a FieldCtx, identified by its integer encoding."""
-
-    __slots__ = ("ctx", "enc")
-
-    def __init__(self, ctx: FieldCtx, enc: int):
-        self.ctx = ctx
-        self.enc = enc
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.ctx.coeffs(self.enc)
-
-    def _same(self, other) -> int:
-        if isinstance(other, int):
-            return self.ctx.scalar(other)
-        if not isinstance(other, FieldElem) or other.ctx is not self.ctx:
-            raise MixedContexts("operands from different fields")
-        return other.enc
-
-    def __add__(self, other):
-        return FieldElem(self.ctx, self.ctx.add(self.enc, self._same(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return FieldElem(self.ctx, self.ctx.sub(self.enc, self._same(other)))
-
-    def __rsub__(self, other):
-        return FieldElem(self.ctx, self.ctx.sub(self._same(other), self.enc))
-
-    def __mul__(self, other):
-        return FieldElem(self.ctx, self.ctx.mul(self.enc, self._same(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return FieldElem(self.ctx, self.ctx.div(self.enc, self._same(other)))
-
-    def __rtruediv__(self, other):
-        return FieldElem(self.ctx, self.ctx.div(self._same(other), self.enc))
-
-    def __pow__(self, e: int):
-        return FieldElem(self.ctx, self.ctx.pow(self.enc, e))
-
-    def __neg__(self):
-        return FieldElem(self.ctx, self.ctx.neg(self.enc))
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.enc == self.ctx.scalar(other)
-        return (
-            isinstance(other, FieldElem)
-            and other.ctx is self.ctx
-            and other.enc == self.enc
-        )
-
-    def __hash__(self):
-        return hash((id(self.ctx), self.enc))
-
-    def __bool__(self):
-        return self.enc != 0
-
-    def __repr__(self):
-        return f"<{self.enc} in F_{self.ctx.q}>"
-
-
-def arith(ctx: FieldCtx, op: str, x: FieldElem, y=None) -> FieldElem:
-    """Uniform entry point for field operations on elements of ctx."""
-    if x.ctx is not ctx or (isinstance(y, FieldElem) and y.ctx is not ctx):
-        raise MixedContexts("operand does not belong to ctx")
-    if op == "neg":
-        return -x
-    if op == "inv":
-        return FieldElem(ctx, ctx.inv(x.enc))
-    if op == "pow":
-        return x**y
-    ops = {"add": x.__add__, "sub": x.__sub__, "mul": x.__mul__, "div": x.__truediv__}
-    if op not in ops:
-        raise ValueError(f"unknown op {op!r}")
-    return ops[op](y)
-
-
 def _check_subfield(ctx: FieldCtx, sub: int) -> int:
     """Return j with sub = p^j and j | m, or raise InvalidSubfield."""
     p, j, s = ctx.p, 0, 1
@@ -423,15 +447,19 @@ def frobenius(ctx: FieldCtx, x: FieldElem, base: int, k: int) -> FieldElem:
     return FieldElem(ctx, out)
 
 
+def trace_sum(ctx, x: int, q: int, n: int) -> int:
+    """x + x^q + ... + x^(q^(n-1)) on encodings: Tr down to F_q of x in F_{q^n}."""
+    tr = 0
+    for _ in range(n):
+        tr = ctx.add(tr, x)
+        x = ctx.pow(x, q)
+    return tr
+
+
 def trace_and_norm(ctx: FieldCtx, x: FieldElem, sub: int) -> tuple[FieldElem, FieldElem]:
     """Trace and norm of x down to the subfield of order sub."""
     j = _check_subfield(ctx, sub)
-    n = ctx.m // j
-    tr = 0
-    power = x.enc
-    for _ in range(n):
-        tr = ctx.add(tr, power)
-        power = ctx.pow(power, sub)
+    tr = trace_sum(ctx, x.enc, sub, ctx.m // j)
     if x.enc == 0:
         nm = 0
     else:
@@ -444,18 +472,17 @@ def in_subfield(ctx: FieldCtx, x: FieldElem, sub: int) -> bool:
     return ctx.pow(x.enc, sub) == x.enc
 
 
-def power_class(ctx: FieldCtx, x: FieldElem, k: int) -> bool:
-    """True iff x = y^k for some y; zero counts as every power."""
+def power_class(ctx: FieldCtx, x: int, k: int) -> bool:
+    """True iff the encoding x is y^k for some y; zero counts as every power."""
     if k not in (2, 4):
         raise UnsupportedK(f"k={k}; only 2 and 4 supported")
-    if x.enc == 0:
+    if x == 0:
         return True
-    d = math.gcd(k, ctx.q - 1)
-    return ctx.pow(x.enc, (ctx.q - 1) // d) == 1
+    return ctx.pow(x, (ctx.q - 1) // math.gcd(k, ctx.q - 1)) == 1
 
 
 def is_square(ctx: FieldCtx, x: FieldElem) -> bool:
-    return power_class(ctx, x, 2)
+    return power_class(ctx, x.enc, 2)
 
 
 def find_special(ctx: FieldCtx, kind: str) -> FieldElem:
@@ -464,14 +491,13 @@ def find_special(ctx: FieldCtx, kind: str) -> FieldElem:
         if ctx.q % 2 == 0:
             raise WrongCharacteristic("non-squares require odd q")
         for e in range(ctx.q):
-            if not power_class(ctx, FieldElem(ctx, e), 2):
+            if not power_class(ctx, e, 2):
                 return FieldElem(ctx, e)
     elif kind == "abs_trace_one":
         if ctx.p != 2:
             raise WrongCharacteristic("absolute trace one requires even q")
         for e in range(ctx.q):
-            t, _ = trace_and_norm(ctx, FieldElem(ctx, e), 2)
-            if t.enc == 1:
+            if trace_sum(ctx, e, 2, ctx.m) == 1:
                 return FieldElem(ctx, e)
     else:
         raise ValueError(f"unknown kind {kind!r}")

@@ -2,17 +2,14 @@
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainTooLarge, ImageOutOfDomain, NotAdditive
-from .gf import FieldCtx, FieldElem
+from .errors import DomainTooLarge, ImageOutOfDomain
 
 MAX_TUPLE_BITS = 32
-ADDITIVITY_SAMPLES = 64
 
 
 @dataclass(frozen=True)
@@ -68,37 +65,3 @@ def multivar_bijection(G: Callable, q: int, n: int) -> OracleReport:
         return encode(img)
 
     return is_bijection(eval_enc, size)
-
-
-def additive_kernel(
-    L: Callable[[int], int], field: FieldCtx, rng: random.Random | None = None
-) -> int:
-    """Kernel size of an additive map given by encodings; L permutes iff 1.
-
-    Additivity is spot-checked on random pairs before the count is trusted.
-    """
-    rng = rng or random.Random(0)
-    q = field.q
-    for _ in range(ADDITIVITY_SAMPLES):
-        x, y = rng.randrange(q), rng.randrange(q)
-        if L(field.add(x, y)) != field.add(L(x), L(y)):
-            raise NotAdditive(f"L({x} + {y}) != L({x}) + L({y})")
-    return sum(1 for x in range(q) if L(x) == 0)
-
-
-def injectivity_by_differences(
-    f: Callable[[int], int], field: FieldCtx
-) -> OracleReport:
-    """f permutes iff f(x + a) - f(x) = 0 has no solution for every a != 0."""
-    q = field.q
-    for a in range(1, q):
-        for x in range(q):
-            xa = field.add(x, a)
-            if f(xa) == f(x):
-                return OracleReport(False, (x, xa), q)
-    return OracleReport(True, None, q)
-
-
-def elem_map_report(f: Callable[[FieldElem], FieldElem], field: FieldCtx) -> OracleReport:
-    """Convenience wrapper: bijection test for a map on FieldElem values."""
-    return is_bijection(lambda e: f(field.elem(e)).enc, field.q)

@@ -12,19 +12,17 @@ import csv
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import criteria
-from .errors import MissingParam
+from .errors import InvalidConfig, MissingParam
 from .families import instantiate_exponent, theorem_info
 from .gf import FieldCtx, build_field
 from .oracle import images_permute
 from .tower import TowerCtx, build_tower
-
-HYPOTHESIS_NOTE = "hypothesis-violated"
 
 
 @dataclass(frozen=True)
@@ -74,27 +72,22 @@ class SweepPlan:
 
     @classmethod
     def from_file(cls, path: str, **overrides) -> "SweepPlan":
+        """Plan from a JSON object; overrides that are not None win over it."""
         with open(path) as fh:
-            data = json.load(fh)
-        plan = cls(**{k: data[k] for k in data if k in cls.__dataclass_fields__})
-        clean = {k: v for k, v in overrides.items() if v is not None}
-        return replace(plan, **clean) if clean else plan
-
-
-def _pow_vec_flat(mul: np.ndarray, vec: np.ndarray, e: int, order: int) -> np.ndarray:
-    if e == 0:  # matches FieldCtx.pow: 0**0 == 1
-        return np.ones(len(vec), dtype=np.int32)
-    e %= order - 1
-    zero = vec == 0
-    result = np.ones(len(vec), dtype=np.int32)
-    base = vec.astype(np.int32)
-    while e:
-        if e & 1:
-            result = mul[result, base]
-        base = mul[base, base]
-        e >>= 1
-    result[zero] = 0
-    return result
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise InvalidConfig(f"plan {path}: malformed JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise InvalidConfig(f"plan {path}: expected a JSON object")
+        unknown = sorted(set(data) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise InvalidConfig(f"plan {path}: unknown keys {unknown}")
+        data.update((k, v) for k, v in overrides.items() if v is not None)
+        try:
+            return cls(**data)
+        except TypeError as exc:
+            raise InvalidConfig(f"plan {path}: {exc}") from None
 
 
 def _gamma_range(info, tower: TowerCtx, probe: bool) -> range:
@@ -109,10 +102,10 @@ def _sweep_tower_deltas(
     tid: str, tower: TowerCtx, deltas: range, i: Optional[int], probe: bool
 ) -> list[SweepRecord]:
     info = theorem_info(tid)
-    ADD, MUL, FROB, NEG = tower.tables()
+    ADD, MUL, NEG, _ = tower.tables()
     order = tower.order
     xs = np.arange(order, dtype=np.int32)
-    xq = FROB[xs]
+    xq = tower.pow_vec(xs, tower.q)
     core0 = ADD[xq, NEG[xs]] if tower.kind == "odd" else ADD[xq, xs]
     lin = xs if info.linear_kind == "x" else ADD[xq, xs]
     terms = info.terms
@@ -152,17 +145,15 @@ def _sweep_tower_deltas(
 
 
 def _sweep_trace_form(tid: str, field: FieldCtx, d: int) -> list[SweepRecord]:
-    ADD, MUL, NEG, _ = field.tables()
+    ADD, MUL, _, _ = field.tables()
     order = field.q
     q = field.p ** (field.m // d)
     xs = np.arange(order, dtype=np.int32)
-    w = MUL[_pow_vec_flat(MUL, xs, q, order), xs]  # x^{q+1}
-    t = ADD[w, MUL[w, w]]
+    w = field.pow_vec(xs, q + 1)
+    t = ADD[w, MUL[w, w]]  # x^{q+1} + x^{2q+2}
     tr = np.zeros(order, dtype=np.int32)
-    power = t
-    for _ in range(d):
-        tr = ADD[tr, power]
-        power = _pow_vec_flat(MUL, power, q, order)
+    for k in range(d):
+        tr = ADD[tr, field.pow_vec(t, q**k)]
     records = []
     for gamma in range(order):
         images = ADD[xs, MUL[gamma][tr]]

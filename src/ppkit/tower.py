@@ -8,40 +8,49 @@ enc(c0) + q * enc(c1).
 
 from __future__ import annotations
 
-import numpy as np
-
-from . import gf
-from .errors import (
-    DegreeTooLarge,
-    DependentBasis,
-    DivisionByZero,
-    MixedContexts,
-    SingularGram,
-)
-from .gf import FieldCtx, FieldElem, find_special
+from .errors import DegreeTooLarge, DependentBasis, LeftBaseField, SingularGram
+from .gf import ArithCtx, ArithElem, FieldCtx, FieldElem, find_special, power_class, trace_sum
 
 TOWER_TABLE_LIMIT = 4096
 
 
-class TowerCtx:
+class TowerElem(ArithElem):
+    """Element of F_{q^2} as coordinates w.r.t. {1, alpha}."""
+
+    __slots__ = ()
+
+    @property
+    def c0(self) -> FieldElem:
+        return self.ctx.base.elem(self.enc % self.ctx.q)
+
+    @property
+    def c1(self) -> FieldElem:
+        return self.ctx.base.elem(self.enc // self.ctx.q)
+
+    def _same(self, other) -> int:
+        if isinstance(other, FieldElem) and other.ctx is self.ctx.base:
+            return other.enc  # base-field elements embed as themselves
+        return super()._same(other)
+
+    def __repr__(self):
+        return f"<{self.enc} in F_{self.ctx.q}^2>"
+
+
+class TowerCtx(ArithCtx):
     """F_{q^2} over a base FieldCtx, with a fixed reduction rule for alpha^2."""
 
+    elem_type = TowerElem
+
     def __init__(self, base: FieldCtx, u: int, kind: str):
+        super().__init__(base.p, base.q**2)
         self.base = base
         self.u = u
         self.kind = kind  # "odd" or "even"
         self.q = base.q
-        self.order = base.q**2
         if kind == "odd":
             self._half = base.inv(base.scalar(2))
-        self._tables = None
 
     # -- encoding ------------------------------------------------------------
-
-    def elem(self, enc: int) -> "TowerElem":
-        if not 0 <= enc < self.order:
-            raise ValueError(f"encoding {enc} out of [0, {self.order})")
-        return TowerElem(self, enc)
 
     def from_coords(self, c0: int, c1: int) -> int:
         return c0 + self.q * c1
@@ -49,11 +58,8 @@ class TowerCtx:
     def split(self, x: int) -> tuple[int, int]:
         return x % self.q, x // self.q
 
-    def elements(self):
-        return (TowerElem(self, e) for e in range(self.order))
-
     @property
-    def alpha(self) -> "TowerElem":
+    def alpha(self) -> TowerElem:
         return TowerElem(self, self.from_coords(0, 1))
 
     def embed(self, c0: int) -> int:
@@ -73,9 +79,6 @@ class TowerCtx:
         x0, x1 = self.split(x)
         return self.from_coords(b.neg(x0), b.neg(x1))
 
-    def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.neg(y))
-
     def mul(self, x: int, y: int) -> int:
         b = self.base
         x0, x1 = self.split(x)
@@ -88,26 +91,6 @@ class TowerCtx:
             cross = b.add(cross, hi)
         return self.from_coords(lo, cross)
 
-    def pow(self, x: int, e: int) -> int:
-        if e < 0:
-            raise ValueError("exponent must be >= 0")
-        if x == 0:
-            return 1 if e == 0 else 0
-        e %= self.order - 1
-        result = 1
-        base = x
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
-
-    def inv(self, x: int) -> int:
-        if x == 0:
-            raise DivisionByZero("inverse of zero")
-        return self.pow(x, self.order - 2)
-
     def frob(self, x: int) -> int:
         """x^q in coordinates: conjugation by the reduction rule."""
         b = self.base
@@ -118,136 +101,40 @@ class TowerCtx:
 
     def trace(self, x: int) -> int:
         """Tr_q^{q^2}(x) as a base-field encoding."""
-        t0, t1 = self.split(self.add(x, self.frob(x)))
-        assert t1 == 0
-        return t0
+        return self._in_base(self.add(x, self.frob(x)), "trace")
 
     def norm(self, x: int) -> int:
         """N_q^{q^2}(x) as a base-field encoding."""
-        n0, n1 = self.split(self.mul(x, self.frob(x)))
-        assert n1 == 0
-        return n0
+        return self._in_base(self.mul(x, self.frob(x)), "norm")
+
+    def _in_base(self, y: int, what: str) -> int:
+        y0, y1 = self.split(y)
+        if y1 != 0:
+            raise LeftBaseField(f"{what} {y} of {self!r} has a nonzero alpha part")
+        return y0
 
     # -- dense tables ----------------------------------------------------------
 
     def tables(self):
-        """(ADD, MUL, FROB, NEG) numpy tables over tower encodings."""
-        if self._tables is None:
-            if self.order > TOWER_TABLE_LIMIT:
-                raise DegreeTooLarge(
-                    f"q^2={self.order} exceeds table limit {TOWER_TABLE_LIMIT}"
-                )
-            badd, bmul, bneg, _ = self.base.tables()
-            q = self.q
-            xs = np.arange(self.order)
-            lo, hi = xs % q, xs // q
-            add = (
-                badd[np.ix_(lo, lo)] + q * badd[np.ix_(hi, hi)]
-            ).astype(np.int32)
-            cross = badd[bmul[np.ix_(lo, hi)].T, bmul[np.ix_(lo, hi)]]
-            hh = bmul[np.ix_(hi, hi)]
-            low = badd[bmul[np.ix_(lo, lo)], bmul[self.u][hh]]
-            if self.kind == "even":
-                cross = badd[cross, hh]
-            mul = (low + q * cross).astype(np.int32)
-            frob = np.array([self.frob(int(x)) for x in xs], dtype=np.int32)
-            neg = (bneg[lo] + q * bneg[hi]).astype(np.int32)
-            self._tables = (add, mul, frob, neg)
-        return self._tables
+        """(ADD, MUL, NEG, INV) numpy tables over tower encodings; INV[0] = 0.
 
-    def pow_vec(self, vec: np.ndarray, e: int) -> np.ndarray:
-        """Elementwise vec**e via the dense multiplication table."""
-        _, mul, _, _ = self.tables()
-        if e == 0:  # matches pow: 0**0 == 1
-            return np.ones(len(vec), dtype=np.int32)
-        e %= self.order - 1
-        zero_mask = vec == 0
-        result = np.ones(len(vec), dtype=np.int32)
-        base = vec.astype(np.int32)
-        while e:
-            if e & 1:
-                result = mul[result, base]
-            base = mul[base, base]
-            e >>= 1
-        result[zero_mask] = 0
-        return result
+        The base field's tables come first, so the log/antilog walk runs on
+        its O(1) scalar mul.  The tower's own scalar arithmetic never reads
+        these tables, which keeps it an independent check of them.
+        """
+        if self.order > TOWER_TABLE_LIMIT:
+            raise DegreeTooLarge(
+                f"q^2={self.order} exceeds table limit {TOWER_TABLE_LIMIT}"
+            )
+        if self._tables is None:
+            self.base.tables()
+        return self._dense_tables()
+
+    # bound in this class too, so per-class instrumentation sees tower calls
+    pow_vec = ArithCtx.pow_vec
 
     def __repr__(self):
         return f"TowerCtx(q={self.q}, kind={self.kind}, u={self.u})"
-
-
-class TowerElem:
-    """Element of F_{q^2} as coordinates w.r.t. {1, alpha}."""
-
-    __slots__ = ("ctx", "enc")
-
-    def __init__(self, ctx: TowerCtx, enc: int):
-        self.ctx = ctx
-        self.enc = enc
-
-    @property
-    def c0(self) -> FieldElem:
-        return self.ctx.base.elem(self.enc % self.ctx.q)
-
-    @property
-    def c1(self) -> FieldElem:
-        return self.ctx.base.elem(self.enc // self.ctx.q)
-
-    def _same(self, other) -> int:
-        if isinstance(other, int):
-            return self.ctx.base.scalar(other)
-        if isinstance(other, FieldElem):
-            if other.ctx is not self.ctx.base:
-                raise MixedContexts("base element from another field")
-            return other.enc
-        if not isinstance(other, TowerElem) or other.ctx is not self.ctx:
-            raise MixedContexts("operands from different towers")
-        return other.enc
-
-    def __add__(self, other):
-        return TowerElem(self.ctx, self.ctx.add(self.enc, self._same(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return TowerElem(self.ctx, self.ctx.sub(self.enc, self._same(other)))
-
-    def __rsub__(self, other):
-        return TowerElem(self.ctx, self.ctx.sub(self._same(other), self.enc))
-
-    def __mul__(self, other):
-        return TowerElem(self.ctx, self.ctx.mul(self.enc, self._same(other)))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        return TowerElem(self.ctx, self.ctx.pow(self.enc, e))
-
-    def __neg__(self):
-        return TowerElem(self.ctx, self.ctx.neg(self.enc))
-
-    def __truediv__(self, other):
-        return TowerElem(
-            self.ctx, self.ctx.mul(self.enc, self.ctx.inv(self._same(other)))
-        )
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.enc == self.ctx.base.scalar(other)
-        return (
-            isinstance(other, TowerElem)
-            and other.ctx is self.ctx
-            and other.enc == self.enc
-        )
-
-    def __hash__(self):
-        return hash((id(self.ctx), self.enc))
-
-    def __bool__(self):
-        return self.enc != 0
-
-    def __repr__(self):
-        return f"<{self.enc} in F_{self.ctx.q}^2>"
 
 
 def build_tower(base: FieldCtx, u: int | None = None) -> TowerCtx:
@@ -257,55 +144,19 @@ def build_tower(base: FieldCtx, u: int | None = None) -> TowerCtx:
         want = "abs_trace_one" if kind == "even" else "non_square"
         u = find_special(base, want).enc
     else:
-        if kind == "odd" and gf.power_class(base, base.elem(u), 2):
+        base.elem(u)  # raises ValueError outside [0, q)
+        if kind == "odd" and power_class(base, u, 2):
             raise ValueError(f"u={u} is a square in F_{base.q}")
-        if kind == "even":
-            t, _ = gf.trace_and_norm(base, base.elem(u), 2)
-            if t.enc != 1:
-                raise ValueError(f"u={u} has absolute trace 0")
+        if kind == "even" and trace_sum(base, u, 2, base.m) != 1:
+            raise ValueError(f"u={u} has absolute trace 0")
     return TowerCtx(base, u, kind)
 
 
 def valid_us(base: FieldCtx) -> list[int]:
     """All admissible u values for a tower over base, in encoding order."""
     if base.p == 2:
-        return [
-            e
-            for e in range(base.q)
-            if gf.trace_and_norm(base, base.elem(e), 2)[0].enc == 1
-        ]
-    return [
-        e
-        for e in range(1, base.q)
-        if not gf.power_class(base, base.elem(e), 2)
-    ]
-
-
-def tower_arith(t: TowerCtx, op: str, x: TowerElem, y=None) -> TowerElem:
-    if x.ctx is not t or (isinstance(y, TowerElem) and y.ctx is not t):
-        raise MixedContexts("operand does not belong to the tower")
-    if op == "neg":
-        return -x
-    if op == "inv":
-        return TowerElem(t, t.inv(x.enc))
-    if op == "pow":
-        return x**y
-    ops = {"add": x.__add__, "sub": x.__sub__, "mul": x.__mul__, "div": x.__truediv__}
-    if op not in ops:
-        raise ValueError(f"unknown op {op!r}")
-    return ops[op](y)
-
-
-def coords(t: TowerCtx, x: TowerElem) -> tuple[FieldElem, FieldElem]:
-    if x.ctx is not t:
-        raise MixedContexts("element from another tower")
-    return x.c0, x.c1
-
-
-def from_coords(t: TowerCtx, c0: FieldElem, c1: FieldElem) -> TowerElem:
-    if c0.ctx is not t.base or c1.ctx is not t.base:
-        raise MixedContexts("coordinates must live in the base field")
-    return TowerElem(t, t.from_coords(c0.enc, c1.enc))
+        return [e for e in range(base.q) if trace_sum(base, e, 2, base.m) == 1]
+    return [e for e in range(1, base.q) if not power_class(base, e, 2)]
 
 
 def dual_basis(

@@ -121,3 +121,30 @@ def test_sweep_deterministic_across_processes(tmp_path):
         assert proc.returncode == 0
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"tid": "3.14", "p": 3, "m": 1, "wokers": 2}', '{"tid": "3.14", "p": 3,', "[1, 2]"],
+    ids=["unknown-key", "malformed-json", "not-an-object"],
+)
+def test_sweep_rejects_bad_plan(capsys, tmp_path, text):
+    plan = tmp_path / "plan.json"
+    plan.write_text(text)
+    code, out, err = run_cli(
+        capsys, "sweep", "--p", "3", "--m", "1", "--theorem", "3.14",
+        "--plan", str(plan),
+    )
+    assert code == 65 and out == ""
+    assert err.startswith("ppkit: ") and err.count("\n") == 1
+
+
+def test_sweep_plan_without_tid_takes_the_flag(capsys, tmp_path):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"p": 3, "m": 1}))
+    code, out, err = run_cli(
+        capsys, "sweep", "--p", "3", "--m", "1", "--theorem", "3.14",
+        "--plan", str(plan),
+    )
+    assert code == 0
+    assert json.loads(err)["records"] == 18 == len(out.strip().split("\n"))

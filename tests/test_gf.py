@@ -6,11 +6,13 @@ from hypothesis import given, settings, strategies as st
 from ppkit.errors import (
     DegreeTooLarge,
     DivisionByZero,
+    InvalidConfig,
     InvalidSubfield,
     MixedContexts,
     NotPrime,
     WrongCharacteristic,
 )
+from ppkit.cli import main
 from ppkit.gf import (
     FieldCtx,
     build_field,
@@ -41,7 +43,7 @@ def test_non_prime_characteristic_rejected():
         build_field(1, 2)
 
 
-def test_field_size_bound(monkeypatch):
+def test_field_size_bound(monkeypatch, capsys):
     with pytest.raises(DegreeTooLarge):
         build_field(2, 17)
     monkeypatch.setenv("PPKIT_MAX_Q", "16")
@@ -49,6 +51,13 @@ def test_field_size_bound(monkeypatch):
     try:
         with pytest.raises(DegreeTooLarge):
             build_field(5, 2)
+        monkeypatch.setenv("PPKIT_MAX_Q", "lots")
+        build_field.cache_clear()
+        with pytest.raises(InvalidConfig):
+            build_field(5, 1)
+        assert main(["field-info", "--p", "5", "--m", "1"]) == 65
+        err = capsys.readouterr().err
+        assert err.startswith("ppkit: ") and err.count("\n") == 1
     finally:
         build_field.cache_clear()
 

@@ -1,18 +1,8 @@
-import random
-
 import numpy as np
 import pytest
 
-from ppkit.errors import DomainTooLarge, ImageOutOfDomain, NotAdditive
-from ppkit.gf import build_field
-from ppkit.oracle import (
-    additive_kernel,
-    elem_map_report,
-    images_permute,
-    injectivity_by_differences,
-    is_bijection,
-    multivar_bijection,
-)
+from ppkit.errors import DomainTooLarge, ImageOutOfDomain
+from ppkit.oracle import images_permute, is_bijection, multivar_bijection
 
 
 def test_is_bijection_accepts_permutation():
@@ -47,28 +37,3 @@ def test_multivar_bijection():
     assert not multivar_bijection(H, 3, 2).is_permutation
     with pytest.raises(DomainTooLarge):
         multivar_bijection(G, 2**17, 2)
-
-
-def test_additive_kernel():
-    F = build_field(3, 2)
-    # x -> x^3 is additive with trivial kernel
-    assert additive_kernel(lambda x: F.pow(x, 3), F) == 1
-    # x -> x^3 - x has kernel F_3
-    L = lambda x: F.sub(F.pow(x, 3), x)
-    assert additive_kernel(L, F) == 3
-    with pytest.raises(NotAdditive):
-        additive_kernel(lambda x: F.add(F.pow(x, 2), 1), F, random.Random(3))
-
-
-def test_injectivity_by_differences_matches_bijection():
-    F = build_field(5, 1)
-    f_good = lambda x: F.pow(x, 3)
-    f_bad = lambda x: F.pow(x, 2)
-    assert injectivity_by_differences(f_good, F).is_permutation
-    rep = injectivity_by_differences(f_bad, F)
-    assert not rep.is_permutation and rep.witness is not None
-
-
-def test_elem_map_report():
-    F = build_field(7, 1)
-    assert elem_map_report(lambda e: e**5, F).is_permutation

@@ -1,10 +1,12 @@
 import csv
+import hashlib
 import io
 import json
 
 import pytest
 
-from ppkit.errors import MissingParam
+from ppkit.errors import InvalidConfig, MissingParam
+from ppkit.gf import build_field
 from ppkit.sweep import (
     SweepPlan,
     SweepRecord,
@@ -15,6 +17,7 @@ from ppkit.sweep import (
     sweep_theorem,
     write_records,
 )
+from ppkit.tower import valid_us
 
 
 def test_sweep_order_and_domain():
@@ -99,6 +102,9 @@ def test_plan_from_file_with_overrides(tmp_path):
     plan = SweepPlan.from_file(str(plan_file), p=5)
     assert plan.p == 5 and plan.tid == "3.14"
     assert disagreements(run_plan(plan)) == []
+    plan_file.write_text(json.dumps({"p": 3}))
+    with pytest.raises(InvalidConfig):
+        SweepPlan.from_file(str(plan_file), m=1)  # no tid from either side
 
 
 def test_check_single():
@@ -107,3 +113,32 @@ def test_check_single():
     assert rec.predicted and rec.oracle and rec.agree
     rec = check_single("4.1", 2, 2, delta=0, gamma=3, d=1)
     assert rec.agree
+
+
+# sha256 of the JSONL records, as written by the table engine before the
+# log/antilog rewrite; any change to a record's bytes shows up here
+PINNED = [
+    (("3.6", 3, 2), {}, "2a117cb38c8bdeabfc32c4acd91a88fe07532b57d0e481b70025e298e3fdb717"),
+    (("3.6", 5, 2), {}, "92768d79d9a11c9e6e6cfe47375623bc664f373e95b8297259c8c85d88d94d22"),
+    (("3.15", 13, 1), {"probe_hypotheses": True},
+     "48b5e4d280adbc9d8fefcf76f96311a0c02bdaa45fd0dc1beb5dd7c1d69ed0ea"),
+    (("3.13", 3, 3), {}, "e87086973efc24539183d9b4f47320eed5ce5b740845c3c2549e53e64f469a16"),
+    (("3.1", 3, 2), {}, "11e7a2d91dd7e950f17f55c20114a7719e2d524936c7246c1d1b870c635509c0"),
+    (("3.19", 2, 3), {"u": 1}, "83ac2dea349865fbcb5acd6c68c171590fd37d6233d92bef4b5fc951fc315020"),
+    (("3.19", 2, 3), {"u": 3}, "2e3114d2df32a9d690c4da59df76c915877c725d2531ade61f2e19190f8078f1"),
+    (("3.19", 2, 3), {"u": 5}, "4dc1b8046f3bf821347b5597b6197d930f1f6f5dd757cf28ab97629e89df2e66"),
+    (("3.19", 2, 3), {"u": 7}, "cd23f5041ec885684e8f12ce3e759e13da2040d2d37559a8e1bf0f9f505acee8"),
+    (("4.1", 2, 3), {"d": 3}, "d7df446be7cb8d03b686dcb7785ea022bb447a91a44c097f7af81d0368b80893"),
+    (("4.1", 2, 2), {"d": 1}, "192d7c576635b381c780c24c20671c36de4139fa47457d4655a652cc085c45a9"),
+]
+
+
+def test_records_are_pinned():
+    assert [kw["u"] for args, kw, _ in PINNED if args[0] == "3.19"] == valid_us(
+        build_field(2, 3)
+    )
+    for args, kw, want in PINNED:
+        buf = io.StringIO()
+        write_records(sweep_theorem(*args, **kw), buf, "jsonl")
+        got = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+        assert got == want, (args, kw)

@@ -1,16 +1,15 @@
+import random
+
 import numpy as np
 import pytest
 
-from ppkit.errors import DependentBasis, MixedContexts
-from ppkit.gf import build_field
+from ppkit.errors import DependentBasis, LeftBaseField, MixedContexts
+from ppkit.gf import _CTX_TOKEN, FieldCtx, build_field
 from ppkit.tower import (
     TowerElem,
     build_tower,
-    coords,
     dual_basis,
-    from_coords,
     proof_substitution,
-    tower_arith,
     valid_us,
 )
 
@@ -59,30 +58,63 @@ def test_trace_norm_values():
         assert T.norm(x) == want
 
 
+def test_trace_norm_invariant_is_checked_without_assert(monkeypatch):
+    T = build_tower(build_field(3, 1))
+    monkeypatch.setattr(T, "frob", lambda x: x)  # a broken conjugation
+    with pytest.raises(LeftBaseField):
+        T.trace(T.alpha.enc)
+    with pytest.raises(LeftBaseField):
+        T.norm(T.add(1, T.alpha.enc))
+
+
 def test_even_trace_is_alpha_coordinate():
     T = build_tower(build_field(2, 2))
     for x in range(T.order):
         assert T.trace(x) == T.split(x)[1]
 
 
-@pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (2, 2)])
-def test_tables_match_scalar_ops(p, m):
-    T = build_tower(build_field(p, m))
-    ADD, MUL, FROB, NEG = T.tables()
-    for x in range(T.order):
-        assert FROB[x] == T.frob(x)
-        assert NEG[x] == T.neg(x)
-        for y in range(T.order):
-            assert ADD[x, y] == T.add(x, y)
-            assert MUL[x, y] == T.mul(x, y)
+def _table_ctx(kind, p, m):
+    if kind == "flat":
+        # a fresh context: the scalar ops must not read the tables under test
+        return FieldCtx(p, m, _token=_CTX_TOKEN)
+    return build_tower(build_field(p, m))
+
+
+@pytest.mark.parametrize(
+    "kind,p,m,rows",
+    [
+        pytest.param("tower", 3, 1, None, id="3-1"),
+        pytest.param("tower", 5, 1, None, id="5-1"),
+        pytest.param("tower", 2, 2, None, id="2-2"),
+        pytest.param("tower", 3, 2, 40, id="3-2"),
+        pytest.param("flat", 2, 4, None, id="flat-2-4"),
+        pytest.param("flat", 2, 9, 12, id="flat-2-9"),
+    ],
+)
+def test_tables_match_scalar_ops(kind, p, m, rows):
+    ctx = _table_ctx(kind, p, m)
+    scalar = _table_ctx(kind, p, m)
+    ADD, MUL, NEG, INV = ctx.tables()
+    xs = range(ctx.order)
+    if rows is not None:
+        xs = random.Random(p * 100 + m).sample(xs, rows)
+    for x in xs:
+        assert NEG[x] == scalar.neg(x)
+        assert INV[x] == (scalar.inv(x) if x else 0)
+        for y in range(ctx.order):
+            assert ADD[x, y] == scalar.add(x, y)
+            assert MUL[x, y] == scalar.mul(x, y)
 
 
 def test_pow_vec_matches_pow():
-    T = build_tower(build_field(3, 1))
-    xs = np.arange(T.order)
-    for e in (0, 1, 2, 5, 7, 11):
-        got = T.pow_vec(xs, e)
-        assert [T.pow(int(x), e) for x in xs] == list(got)
+    for kind, p, m in [("tower", 3, 1), ("tower", 3, 2), ("flat", 2, 4), ("flat", 2, 9)]:
+        ctx = _table_ctx(kind, p, m)
+        scalar = _table_ctx(kind, p, m)
+        xs = np.arange(ctx.order)
+        q = ctx.q if kind == "tower" else p
+        for e in (0, 1, 2, 5, 7, 11, q, q + 1, ctx.order - 1, 3 * ctx.order):
+            got = ctx.pow_vec(xs, e)
+            assert [scalar.pow(int(x), e) for x in xs] == list(got)
 
 
 def test_valid_us():
@@ -113,9 +145,7 @@ def test_elem_ops_and_embedding():
     other = build_tower(build_field(5, 1))
     with pytest.raises(MixedContexts):
         _ = x + other.elem(1)
-    c0, c1 = coords(T, x)
-    assert from_coords(T, c0, c1) == x
-    assert tower_arith(T, "mul", x, y) == x * y
+    assert T.elem(T.from_coords(x.c0.enc, x.c1.enc)) == x
 
 
 def test_dual_basis_trace_orthogonality():
