@@ -19,7 +19,6 @@ from .families import (
     closed_form_components,
     eval_family,
     family_for_theorem,
-    theorem_info,
 )
 from .gf import build_field
 from .tower import build_tower, valid_us
@@ -74,15 +73,15 @@ def build_parser() -> _Parser:
     sw.add_argument(
         "--gamma-domain",
         choices=["stated", "full"],
-        default="stated",
-        help="restrict gamma to the theorem's hypothesis or probe all of F_{q^2}",
+        default=None,
+        help="restrict gamma to the theorem's hypothesis (default) or probe all of F_{q^2}",
     )
     sw.add_argument(
         "--probe-hypotheses",
         action="store_true",
         help="alias for --gamma-domain full",
     )
-    sw.add_argument("--workers", type=int, default=1)
+    sw.add_argument("--workers", type=int, default=None, help="processes (default 1)")
     sw.add_argument("--out", default=None, help="output path (default stdout)")
     sw.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
 
@@ -138,21 +137,16 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    probe = args.probe_hypotheses or args.gamma_domain == "full"
-    if args.plan:
-        plan = sweep_mod.SweepPlan.from_file(
-            args.plan,
-            tid=args.theorem, p=args.p, m=args.m, u=args.u,
-            i=args.i, d=args.d,
-            probe_hypotheses=probe or None,
-            workers=args.workers if args.workers != 1 else None,
-        )
-    else:
-        plan = sweep_mod.SweepPlan(
-            tid=args.theorem, p=args.p, m=args.m, u=args.u,
-            i=args.i, d=args.d, probe_hypotheses=probe, workers=args.workers,
-        )
+    probe = None if args.gamma_domain is None else args.gamma_domain == "full"
+    plan = sweep_mod.SweepPlan.from_file(
+        args.plan,
+        tid=args.theorem, p=args.p, m=args.m, u=args.u, i=args.i, d=args.d,
+        probe_hypotheses=True if args.probe_hypotheses else probe,
+        workers=args.workers,
+    )
     records = sweep_mod.run_plan(plan)
+    if not records:
+        raise PPKitError(f"theorem {plan.tid} over F_{plan.p}^{plan.m} yields no records")
     try:
         sweep_mod.write_records(records, args.out or sys.stdout, args.format)
     except OSError as exc:
@@ -165,20 +159,18 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_decompose(args) -> int:
     tower = build_tower(build_field(args.p, args.m), u=args.u)
-    delta = _resolve_delta(tower, args)
-    gamma = args.gamma if args.gamma is not None else 1
-    spec = family_for_theorem(args.theorem, delta, gamma, i=args.i, d=args.d)
+    delta = tower.elem(_resolve_delta(tower, args))
+    gamma = tower.elem(args.gamma if args.gamma is not None else 1)
+    spec = family_for_theorem(args.theorem, delta.enc, gamma.enc, i=args.i, d=args.d)
     extracted = lemma31_extract(spec, tower)
-    closed = closed_form_components(
-        args.theorem, tower, tower.elem(delta), tower.elem(gamma), i=args.i
-    )
+    closed = closed_form_components(args.theorem, tower, delta, gamma, i=args.i)
     match = closed.same_values(extracted)
     print(
         json.dumps(
             {
                 "theorem": args.theorem,
-                "delta": delta,
-                "gamma": gamma,
+                "delta": delta.enc,
+                "gamma": gamma.enc,
                 "closed_form": closed.serialize(),
                 "extracted": extracted.serialize(),
                 "values_match": match,
@@ -191,9 +183,8 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_directions(args) -> int:
     tower = build_tower(build_field(args.p, args.m), u=args.u)
-    delta = _resolve_delta(tower, args)
-    gamma = args.gamma if args.gamma is not None else 0
-    info = theorem_info(args.theorem)
+    delta = tower.elem(_resolve_delta(tower, args)).enc
+    gamma = tower.elem(args.gamma if args.gamma is not None else 0).enc
     # duality is checked for the family with its linear part removed
     spec = family_for_theorem(args.theorem, delta, 0, i=args.i, d=args.d)
     f = lambda e: eval_family(spec, tower, e).enc

@@ -13,7 +13,7 @@ from .errors import (
     UnknownTheorem,
     WrongCharacteristic,
 )
-from .families import theorem_info
+from .families import closed_form_components, theorem_info
 from .gf import FieldCtx, power_class, trace_sum
 from .tower import TowerCtx
 
@@ -99,8 +99,6 @@ _EXACT_VIA_G2 = {
 def _z_component_permutes(
     tid: str, tower: TowerCtx, delta: int, gamma: int, i: int | None
 ) -> bool:
-    from .families import closed_form_components
-
     table = closed_form_components(
         tid, tower, tower.elem(delta), tower.elem(gamma), i=i
     )

@@ -14,7 +14,7 @@ from typing import Callable
 
 from .errors import DependentBasis, KindContextMismatch, SingularMatrix
 from .families import ComponentTable, FamilySpec, eval_family
-from .gf import FieldCtx, FieldElem
+from .gf import FieldCtx, FieldElem, _poly_to_enc, build_field
 from .oracle import is_bijection, multivar_bijection
 from .tower import TowerCtx, proof_substitution
 
@@ -82,20 +82,13 @@ class DecompositionConfig:
             self.a_vec = (0,) * n
         if self.b_vec is None:
             self.b_vec = (0,) * n
-        prime = self.field.p
-        pf = _prime_field(prime)
+        pf = build_field(self.field.p, 1)
         self._pf = pf
         self._A_inv = mat_inv(pf, self.A)  # raises SingularMatrix if degenerate
         self._B_inv = mat_inv(pf, self.B)
         self._in_mat = _basis_matrix(self.field, self.in_basis)
         self._out_mat = _basis_matrix(self.field, self.out_basis)
         self._out_inv = mat_inv(pf, self._out_mat)
-
-
-def _prime_field(p: int) -> FieldCtx:
-    from .gf import build_field
-
-    return build_field(p, 1)
 
 
 def _basis_matrix(ctx: FieldCtx, basis) -> list[list[int]]:
@@ -106,17 +99,10 @@ def _basis_matrix(ctx: FieldCtx, basis) -> list[list[int]]:
     cols = [list(ctx.coeffs(b.enc)) for b in basis]
     M = [[cols[j][i] for j in range(n)] for i in range(n)]
     try:
-        mat_inv(_prime_field(ctx.p), M)
+        mat_inv(build_field(ctx.p, 1), M)
     except SingularMatrix:
         raise DependentBasis("basis elements are linearly dependent") from None
     return M
-
-
-def _from_coeffs(ctx: FieldCtx, coeffs) -> int:
-    e = 0
-    for c in reversed(coeffs):
-        e = e * ctx.p + c
-    return e
 
 
 def component_map(
@@ -131,7 +117,7 @@ def component_map(
         shifted = [pf.add(x, a) for x, a in zip(xs, cfg.a_vec)]
         y = vec_mat(pf, shifted, cfg.A)  # (x + a) A
         x_coeffs = mat_vec(pf, cfg._in_mat, y)  # coordinates of sum y_i alpha_i
-        x_enc = _from_coeffs(ctx, x_coeffs)
+        x_enc = _poly_to_enc(x_coeffs, ctx.p)
         fx = f(x_enc)
         fx = ctx.sub(fx, cfg.c)
         w = mat_vec(pf, cfg._out_inv, list(ctx.coeffs(fx)))  # coords in out basis

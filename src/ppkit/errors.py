@@ -65,6 +65,10 @@ class UnknownTheorem(PPKitError):
     """No theorem with the given identifier."""
 
 
+class InvalidParam(PPKitError, ValueError):
+    """A parameter lies outside its domain, e.g. an encoding outside the field."""
+
+
 class MissingParam(PPKitError):
     """A theorem-specific parameter (i, d, ...) was not supplied."""
 

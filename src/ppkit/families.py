@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .errors import (
     ExponentOutOfRange,
     KindContextMismatch,
+    MissingParam,
     UnknownTheorem,
 )
 from .gf import FieldCtx, FieldElem, trace_sum
@@ -199,11 +200,11 @@ def family_for_theorem(
     terms = info.terms
     if info.needs_i:
         if i is None:
-            raise ValueError(f"theorem {tid} requires parameter i")
+            raise MissingParam(f"theorem {tid} requires parameter i")
         terms = tuple(("ppow", i) if t[0] == "ppow" else t for t in terms)
     if info.kind == "trace_form":
         if d is None:
-            raise ValueError(f"theorem {tid} requires parameter d")
+            raise MissingParam(f"theorem {tid} requires parameter d")
         return FamilySpec(kind="trace_form", gamma=gamma, d=d)
     return FamilySpec(
         kind=info.kind,
@@ -385,7 +386,7 @@ def closed_form_components(
         }
     elif tid == "3.13":
         if i is None:
-            raise ValueError("theorem 3.13 needs parameter i")
+            raise MissingParam("theorem 3.13 needs parameter i")
         pi = B.p**i
         g1 = {(1, 0): m(s(2), g), (0, pi + 1): neg(B.pow(u, (pi + 1) // 2))}
         g2 = {(0, pi): m(a, B.pow(u, (pi - 1) // 2)), (0, 1): neg(ap(pi))}

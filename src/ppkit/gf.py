@@ -19,6 +19,7 @@ from .errors import (
     DegreeTooLarge,
     DivisionByZero,
     InvalidConfig,
+    InvalidParam,
     InvalidSubfield,
     MixedContexts,
     NoIrreducibleFound,
@@ -224,7 +225,7 @@ class ArithCtx:
 
     def elem(self, enc: int):
         if not 0 <= enc < self.order:
-            raise ValueError(f"encoding {enc} out of [0, {self.order})")
+            raise InvalidParam(f"encoding {enc} out of [0, {self.order})")
         return self.elem_type(self, enc)
 
     def elements(self):

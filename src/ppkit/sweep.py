@@ -3,7 +3,7 @@
 A sweep fixes a theorem family and a field, enumerates every (delta, gamma)
 in scope, evaluates the family on the whole field with dense numpy tables,
 and records whether the stated criterion and the brute-force permutation
-check agree.  Records are emitted in deterministic (delta, gamma) order.
+check agree.  Records are emitted in deterministic (i, delta, gamma) order.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ import numpy as np
 
 from . import criteria
 from .errors import InvalidConfig, MissingParam
-from .families import instantiate_exponent, theorem_info
-from .gf import FieldCtx, build_field
+from .families import family_for_theorem, instantiate_exponent, theorem_info
+from .gf import build_field
 from .oracle import images_permute
 from .tower import TowerCtx, build_tower
 
@@ -42,21 +42,7 @@ class SweepRecord:
     note: Optional[str] = None
 
     def serialize(self) -> dict:
-        return {
-            "tid": self.tid,
-            "p": self.p,
-            "m": self.m,
-            "u": self.u,
-            "i": self.i,
-            "d": self.d,
-            "delta": self.delta,
-            "gamma": self.gamma,
-            "predicted": self.predicted,
-            "matched_case": self.matched_case,
-            "oracle": self.oracle,
-            "agree": self.agree,
-            "note": self.note,
-        }
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -71,18 +57,20 @@ class SweepPlan:
     workers: int = 1
 
     @classmethod
-    def from_file(cls, path: str, **overrides) -> "SweepPlan":
-        """Plan from a JSON object; overrides that are not None win over it."""
-        with open(path) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise InvalidConfig(f"plan {path}: malformed JSON: {exc}") from None
-        if not isinstance(data, dict):
-            raise InvalidConfig(f"plan {path}: expected a JSON object")
-        unknown = sorted(set(data) - set(cls.__dataclass_fields__))
-        if unknown:
-            raise InvalidConfig(f"plan {path}: unknown keys {unknown}")
+    def from_file(cls, path: Optional[str], **overrides) -> "SweepPlan":
+        """Plan from a JSON object file, if any; overrides that are not None win."""
+        data = {}
+        if path is not None:
+            with open(path) as fh:
+                try:
+                    data = json.load(fh)
+                except json.JSONDecodeError as exc:
+                    raise InvalidConfig(f"plan {path}: malformed JSON: {exc}") from None
+            if not isinstance(data, dict):
+                raise InvalidConfig(f"plan {path}: expected a JSON object")
+            unknown = sorted(set(data) - set(cls.__dataclass_fields__))
+            if unknown:
+                raise InvalidConfig(f"plan {path}: unknown keys {unknown}")
         data.update((k, v) for k, v in overrides.items() if v is not None)
         try:
             return cls(**data)
@@ -90,99 +78,82 @@ class SweepPlan:
             raise InvalidConfig(f"plan {path}: {exc}") from None
 
 
-def _gamma_range(info, tower: TowerCtx, probe: bool) -> range:
-    if probe:
-        return range(tower.order)
-    if info.gamma_domain == "Fq_star":
-        return range(1, tower.q)
-    return range(1, tower.order)
+def _context(info, p: int, m: int, u: Optional[int], d: Optional[int]):
+    """The theorem's field: F_{q^d} for the trace forms, else the tower F_{q^2}."""
+    if info.kind == "trace_form":
+        if d is None:
+            raise MissingParam(f"theorem {info.tid} requires d")
+        return build_field(p, m * d)
+    tower = build_tower(build_field(p, m), u=u)
+    if (tower.kind == "odd") != (info.char == "odd"):
+        raise MissingParam(f"theorem {info.tid} needs characteristic parity {info.char}")
+    return tower
 
 
-def _sweep_tower_deltas(
-    tid: str, tower: TowerCtx, deltas: range, i: Optional[int], probe: bool
-) -> list[SweepRecord]:
-    info = theorem_info(tid)
-    ADD, MUL, NEG, _ = tower.tables()
-    order = tower.order
-    xs = np.arange(order, dtype=np.int32)
+def _tower_rows(tid: str, tower: TowerCtx, deltas, i: Optional[int]):
+    """(delta, acc, lin) per delta: f = acc + gamma * lin on the whole tower."""
+    spec = family_for_theorem(tid, 0, 0, i=i)
+    ADD, _, NEG, _ = tower.tables()
+    xs = np.arange(tower.order, dtype=np.int32)
     xq = tower.pow_vec(xs, tower.q)
     core0 = ADD[xq, NEG[xs]] if tower.kind == "odd" else ADD[xq, xs]
-    lin = xs if info.linear_kind == "x" else ADD[xq, xs]
-    terms = info.terms
-    if info.needs_i:
-        terms = tuple(("ppow", i) if t[0] == "ppow" else t for t in terms)
-    exps = [instantiate_exponent(t, tower.q, tower.base.p) for t in terms]
-    gammas = _gamma_range(info, tower, probe)
-
-    records = []
+    lin = xs if spec.linear_kind == "x" else ADD[xq, xs]
+    exps = [instantiate_exponent(t, tower.q, tower.p) for t in spec.terms]
     for delta in deltas:
         core = ADD[core0, delta]
-        acc = np.zeros(order, dtype=np.int32)
+        acc = np.zeros(tower.order, dtype=np.int32)
         for s in exps:
             acc = ADD[acc, tower.pow_vec(core, s)]
+        yield delta, acc, lin
+
+
+def _trace_rows(field, d: int):
+    """The one row (0, x, Tr(x^{q+1} + x^{2q+2})) of the trace form over F_{q^d}."""
+    ADD, MUL, _, _ = field.tables()
+    q = field.p ** (field.m // d)
+    xs = np.arange(field.order, dtype=np.int32)
+    w = field.pow_vec(xs, q + 1)
+    t = ADD[w, MUL[w, w]]  # x^{q+1} + x^{2q+2}
+    tr = np.zeros(field.order, dtype=np.int32)
+    for k in range(d):
+        tr = ADD[tr, field.pow_vec(t, q**k)]
+    return [(0, xs, tr)]
+
+
+def _records(ctx, head: tuple, rows, gammas) -> list[SweepRecord]:
+    """The records of each row (delta, acc, lin) at each gamma; f = acc + gamma * lin.
+
+    head is the records' (tid, p, m, u, i, d).  No other code makes a SweepRecord.
+    """
+    tid, _, _, _, i, d = head
+    ADD, MUL, _, _ = ctx.tables()
+    records = []
+    for delta, acc, lin in rows:
         for gamma in gammas:
-            images = ADD[acc, MUL[gamma][lin]]
-            pp = images_permute(images, order)
-            v = criteria.predict(tid, tower, delta, gamma, i=i)
+            pp = images_permute(ADD[acc, MUL[gamma][lin]], ctx.order)
+            v = criteria.predict(tid, ctx, delta, gamma, i=i, d=d)
             records.append(
                 SweepRecord(
-                    tid,
-                    tower.base.p,
-                    tower.base.m,
-                    tower.u,
-                    i,
-                    None,
-                    delta,
-                    gamma,
-                    v.predicted,
-                    v.matched_case,
-                    pp,
-                    v.predicted == pp,
-                    v.notes,
+                    *head, delta, gamma, v.predicted, v.matched_case, pp,
+                    v.predicted == pp, v.notes,
                 )
             )
     return records
 
 
-def _sweep_trace_form(tid: str, field: FieldCtx, d: int) -> list[SweepRecord]:
-    ADD, MUL, _, _ = field.tables()
-    order = field.q
-    q = field.p ** (field.m // d)
-    xs = np.arange(order, dtype=np.int32)
-    w = field.pow_vec(xs, q + 1)
-    t = ADD[w, MUL[w, w]]  # x^{q+1} + x^{2q+2}
-    tr = np.zeros(order, dtype=np.int32)
-    for k in range(d):
-        tr = ADD[tr, field.pow_vec(t, q**k)]
-    records = []
-    for gamma in range(order):
-        images = ADD[xs, MUL[gamma][tr]]
-        pp = images_permute(images, order)
-        v = criteria.predict(tid, field, 0, gamma, d=d)
-        records.append(
-            SweepRecord(
-                tid,
-                field.p,
-                field.m,
-                0,
-                None,
-                d,
-                0,
-                gamma,
-                v.predicted,
-                v.matched_case,
-                pp,
-                v.predicted == pp,
-                v.notes,
-            )
-        )
-    return records
+def _job(job, ctx=None) -> list[SweepRecord]:
+    """The records of one job (tid, p, m, u, i, d, deltas, gammas).
 
-
-def _worker(args) -> list[SweepRecord]:
-    tid, p, m, u, lo, hi, i, probe = args
-    tower = build_tower(build_field(p, m), u=u)
-    return _sweep_tower_deltas(tid, tower, range(lo, hi), i, probe)
+    ctx is the theorem's field; a worker process builds its own.
+    """
+    tid, p, m, u, i, d, deltas, gammas = job
+    info = theorem_info(tid)
+    if ctx is None:
+        ctx = _context(info, p, m, u, d)
+    if info.kind == "trace_form":  # one row, at delta 0
+        return _records(ctx, (tid, p, m * d, 0, None, d), _trace_rows(ctx, d), gammas)
+    rows = _tower_rows(tid, ctx, deltas, i)
+    return _records(ctx, (tid, p, m, ctx.u, i, None), rows, gammas)
 
 
 def sweep_theorem(
@@ -195,59 +166,35 @@ def sweep_theorem(
     probe_hypotheses: bool = False,
     workers: int = 1,
 ) -> list[SweepRecord]:
-    """All records for one theorem over F_{p^m}, sorted by (delta, gamma)."""
+    """All records for one theorem over F_{p^m}, in (i, delta, gamma) order."""
     info = theorem_info(tid)
-
+    ctx = _context(info, p, m, u, d)
     if info.kind == "trace_form":
-        if d is None:
-            raise MissingParam(f"theorem {tid} requires d")
-        field = build_field(p, m * d)
-        return _sweep_trace_form(tid, field, d)
+        return _job((tid, p, m, u, None, d, None, range(ctx.order)), ctx)
 
-    base = build_field(p, m)
-    tower = build_tower(base, u=u)
-    if (tower.kind == "odd") != (info.char == "odd"):
-        raise MissingParam(f"theorem {tid} needs characteristic parity {info.char}")
-
-    i_values: list[Optional[int]]
     if info.needs_i:
         i_values = [i] if i is not None else list(range(1, m))
     else:
         i_values = [None]
-
-    records: list[SweepRecord] = []
-    for iv in i_values:
-        if workers > 1:
-            bounds = np.linspace(0, tower.order, workers + 1, dtype=int)
-            jobs = [
-                (tid, p, m, tower.u, int(lo), int(hi), iv, probe_hypotheses)
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if hi > lo
-            ]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for chunk in pool.map(_worker, jobs):
-                    records.extend(chunk)
-        else:
-            records.extend(
-                _sweep_tower_deltas(
-                    tid, tower, range(tower.order), iv, probe_hypotheses
-                )
-            )
-    records.sort(key=lambda r: (r.i if r.i is not None else 0, r.delta, r.gamma))
-    return records
+    if probe_hypotheses:
+        gammas = range(ctx.order)
+    else:
+        gammas = range(1, ctx.q if info.gamma_domain == "Fq_star" else ctx.order)
+    bounds = np.linspace(0, ctx.order, max(workers, 1) + 1, dtype=int)
+    jobs = [
+        (tid, p, m, ctx.u, iv, None, range(lo, hi), gammas)
+        for iv in i_values
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())
+        if hi > lo
+    ]
+    if workers <= 1:
+        return [r for job in jobs for r in _job(job, ctx)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return [r for chunk in pool.map(_job, jobs) for r in chunk]
 
 
 def run_plan(plan: SweepPlan) -> list[SweepRecord]:
-    return sweep_theorem(
-        plan.tid,
-        plan.p,
-        plan.m,
-        u=plan.u,
-        i=plan.i,
-        d=plan.d,
-        probe_hypotheses=plan.probe_hypotheses,
-        workers=plan.workers,
-    )
+    return sweep_theorem(**vars(plan))
 
 
 def disagreements(records: list[SweepRecord]) -> list[SweepRecord]:
@@ -295,13 +242,10 @@ def check_single(
     i: Optional[int] = None,
     d: Optional[int] = None,
 ) -> SweepRecord:
-    """One (delta, gamma) comparison, via the same engine as full sweeps."""
+    """The record of one (delta, gamma), computed by the sweep's own engine."""
     info = theorem_info(tid)
-    if info.kind == "trace_form":
-        if d is None:
-            raise MissingParam(f"theorem {tid} requires d")
-        recs = _sweep_trace_form(tid, build_field(p, m * d), d)
-        return next(r for r in recs if r.gamma == gamma)
-    tower = build_tower(build_field(p, m), u=u)
-    recs = _sweep_tower_deltas(tid, tower, range(delta, delta + 1), i, True)
-    return next(r for r in recs if r.gamma == gamma)
+    ctx = _context(info, p, m, u, d)
+    ctx.elem(delta)  # both must be encodings in the theorem's field
+    ctx.elem(gamma)
+    [record] = _job((tid, p, m, u, i, d, (delta,), (gamma,)), ctx)
+    return record

@@ -8,7 +8,7 @@ enc(c0) + q * enc(c1).
 
 from __future__ import annotations
 
-from .errors import DegreeTooLarge, DependentBasis, LeftBaseField, SingularGram
+from .errors import DegreeTooLarge, DependentBasis, InvalidParam, LeftBaseField, SingularGram
 from .gf import ArithCtx, ArithElem, FieldCtx, FieldElem, find_special, power_class, trace_sum
 
 TOWER_TABLE_LIMIT = 4096
@@ -144,11 +144,11 @@ def build_tower(base: FieldCtx, u: int | None = None) -> TowerCtx:
         want = "abs_trace_one" if kind == "even" else "non_square"
         u = find_special(base, want).enc
     else:
-        base.elem(u)  # raises ValueError outside [0, q)
+        base.elem(u)  # raises InvalidParam outside [0, q)
         if kind == "odd" and power_class(base, u, 2):
-            raise ValueError(f"u={u} is a square in F_{base.q}")
+            raise InvalidParam(f"u={u} is a square in F_{base.q}")
         if kind == "even" and trace_sum(base, u, 2, base.m) != 1:
-            raise ValueError(f"u={u} has absolute trace 0")
+            raise InvalidParam(f"u={u} has absolute trace 0")
     return TowerCtx(base, u, kind)
 
 

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from ppkit import sweep as sweep_mod
 from ppkit.cli import main
 
 
@@ -135,6 +136,44 @@ def test_sweep_rejects_bad_plan(capsys, tmp_path, text):
         capsys, "sweep", "--p", "3", "--m", "1", "--theorem", "3.14",
         "--plan", str(plan),
     )
+    assert code == 65 and out == ""
+    assert err.startswith("ppkit: ") and err.count("\n") == 1
+
+
+def test_sweep_flags_override_the_plan(capsys, tmp_path, monkeypatch):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(
+        {"tid": "3.14", "p": 3, "m": 1, "probe_hypotheses": True, "workers": 2}
+    ))
+    seen = []
+    run_plan = sweep_mod.run_plan
+    monkeypatch.setattr(sweep_mod, "run_plan", lambda plan: seen.append(plan) or run_plan(plan))
+    code, out, err = run_cli(
+        capsys, "sweep", "--p", "3", "--m", "1", "--theorem", "3.14",
+        "--plan", str(plan), "--gamma-domain", "stated", "--workers", "1",
+    )
+    assert code == 0
+    assert seen[0].probe_hypotheses is False and seen[0].workers == 1
+    assert json.loads(err)["records"] == 18 == len(out.strip().split("\n"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "check --p 3 --m 1 --theorem 3.14 --delta 99 --gamma 1",
+        "check --p 3 --m 1 --theorem 3.14 --delta 1 --gamma 99",
+        "check --p 3 --m 1 --theorem 3.14 --delta 1 --gamma -1",
+        "check --p 2 --m 2 --theorem 4.1 --d 1 --gamma 99",
+        "check --p 3 --m 1 --theorem 3.2 --delta -1 --gamma 1",
+        "check --p 3 --m 2 --theorem 3.13 --delta 1 --gamma 1",
+        "decompose --p 3 --m 1 --theorem 3.14 --delta 99",
+        "directions --p 3 --m 1 --theorem 3.14 --delta 99",
+        "field-info --p 3 --m 1 --u 1",
+        "sweep --p 3 --m 1 --theorem 3.13",
+    ],
+)
+def test_bad_point_parameters_exit_65(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
     assert code == 65 and out == ""
     assert err.startswith("ppkit: ") and err.count("\n") == 1
 

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import random
 
 import pytest
 
@@ -113,6 +114,24 @@ def test_check_single():
     assert rec.predicted and rec.oracle and rec.agree
     rec = check_single("4.1", 2, 2, delta=0, gamma=3, d=1)
     assert rec.agree
+
+
+@pytest.mark.parametrize(
+    "args, kw",
+    [
+        (("3.6", 3, 2), {}),
+        (("3.1", 3, 2), {}),
+        (("3.13", 3, 2), {"i": 1}),
+        (("4.1", 2, 3), {"d": 1}),
+    ]
+    + [(("3.19", 2, 2), {"u": u}) for u in valid_us(build_field(2, 2))],
+    ids=lambda v: "-".join(map(str, v.values() if isinstance(v, dict) else v)) or "-",
+)
+def test_check_equals_sweep_record(args, kw):
+    recs = sweep_theorem(*args, probe_hypotheses=True, **kw)
+    rng = random.Random(11)
+    for rec in rng.sample(recs, min(len(recs), 40)):
+        assert check_single(*args, delta=rec.delta, gamma=rec.gamma, **kw) == rec
 
 
 # sha256 of the JSONL records, as written by the table engine before the
