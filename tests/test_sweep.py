@@ -125,7 +125,7 @@ def test_check_single():
         (("4.1", 2, 3), {"d": 1}),
     ]
     + [(("3.19", 2, 2), {"u": u}) for u in valid_us(build_field(2, 2))],
-    ids=lambda v: "-".join(map(str, v.values() if isinstance(v, dict) else v)) or "-",
+    ids=lambda v: "-".join(map(str, v.values() if isinstance(v, dict) else v)),
 )
 def test_check_equals_sweep_record(args, kw):
     recs = sweep_theorem(*args, probe_hypotheses=True, **kw)
