@@ -133,7 +133,7 @@ def _cmd_check(args) -> int:
         u=args.u, i=args.i, d=args.d,
     )
     print(json.dumps(rec.serialize(), indent=2))
-    return EXIT_OK if rec.agree else EXIT_DISAGREE
+    return EXIT_DISAGREE if sweep_mod.disagreements([rec]) else EXIT_OK
 
 
 def _cmd_sweep(args) -> int:

@@ -3,6 +3,7 @@ cubic and quintic permutation tests they rely on."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -18,11 +19,20 @@ from .gf import FieldCtx, power_class, trace_sum
 from .tower import TowerCtx
 
 
+HYPOTHESIS_VIOLATED = "hypothesis-violated"
+
+
 @dataclass(frozen=True)
 class Verdict:
     predicted: bool
     matched_case: str  # e.g. "3.1(ii)" or "none"
     notes: Optional[str] = None
+
+
+@functools.cache  # one shared verdict, and note string, per reason
+def _violated(why: str) -> Verdict:
+    """The verdict outside the hypothesis: the only kind that may disagree."""
+    return Verdict(False, "none", f"{HYPOTHESIS_VIOLATED}: {why}")
 
 
 def _fourth_or_not_square(ctx: FieldCtx, x: int) -> bool:
@@ -160,11 +170,11 @@ def _statement_predict(
     q = tower.q
 
     if gamma == 0:
-        return Verdict(False, "none", "hypothesis-violated: gamma = 0")
+        return _violated("gamma = 0")
 
     gamma_in_base = gamma < q
     if info.gamma_domain == "Fq_star" and not gamma_in_base:
-        return Verdict(False, "none", "hypothesis-violated: gamma not in F_q*")
+        return _violated("gamma not in F_q*")
 
     if tid == "3.19":
         return _predict_319(tower, delta, gamma)
@@ -329,7 +339,7 @@ def _statement_predict(
         if i is None:
             raise MissingParam("theorem 3.13 requires i")
         if not 1 <= i < B.m:
-            return Verdict(False, "none", "hypothesis-violated: i out of [1, m)")
+            return _violated("i out of [1, m)")
         if td == 0:
             return Verdict(False, "none")
         # the z-part a*(u^{k/2} z^{k+1 ... } ...) is additive; it permutes iff
@@ -410,7 +420,7 @@ def _predict_41(ctx: FieldCtx, gamma: int, d: int | None) -> Verdict:
         raise MissingParam(f"d = {d} must be odd and divide m = {ctx.m}")
     m = ctx.m // d
     if m <= 1:
-        return Verdict(False, "none", "hypothesis-violated: q = 2^m needs m > 1")
+        return _violated("q = 2^m needs m > 1")
     q = 2**m
     if ctx.pow(gamma, q) != gamma:
         return Verdict(False, "none")

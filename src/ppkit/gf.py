@@ -3,8 +3,8 @@
 Elements are represented by their integer encoding enc(x) = sum coeffs[i] * p^i,
 a bijection onto [0, q).  The modulus is always the least monic irreducible of
 degree m under that encoding, so two processes constructing the same (p, m)
-agree bit for bit.  Dense tables and vector powers of every context come from
-log/antilog tables of its least primitive element.
+agree bit for bit.  The vector arithmetic of every context comes from
+log/antilog vectors of its least primitive element.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from .errors import (
 )
 
 DEFAULT_MAX_Q = 2**16
-# Full q x q multiplication tables are only built below this size.
-TABLE_LIMIT = 2048
 
 
 def max_field_size() -> int:
@@ -212,7 +210,7 @@ class ArithCtx:
     """Encoding-level arithmetic shared by FieldCtx and TowerCtx.
 
     A subclass sets elem_type and provides add, neg and mul; the rest,
-    including the dense tables, is derived from those.
+    including the vector arithmetic, is derived from those.
     """
 
     def __init__(self, p: int, order: int):
@@ -221,7 +219,7 @@ class ArithCtx:
         # instance attributes, not class defaults: the hot scalar paths read
         # them on every call
         self._tables = None
-        self._inv_table = None
+        self._exp_list = None
 
     def elem(self, enc: int):
         if not 0 <= enc < self.order:
@@ -241,9 +239,8 @@ class ArithCtx:
     def inv(self, x: int) -> int:
         if x == 0:
             raise DivisionByZero("inverse of zero")
-        t = self._inv_table
-        if t is not None:
-            return int(t[x])
+        if self._exp_list is not None:
+            return self._exp_list[self.order - 1 - self._log_list[x]]
         return self.pow(x, self.order - 2)
 
     def div(self, x: int, y: int) -> int:
@@ -264,19 +261,23 @@ class ArithCtx:
             e >>= 1
         return result
 
-    # -- log/antilog and dense tables -----------------------------------------
+    # -- log/antilog vectors and the vector arithmetic ------------------------
 
-    def _dense_tables(self):
-        """(ADD, MUL, NEG, INV) int32 tables over encodings, built once.
+    def tables(self):
+        """(exp, log), plus (spread, unspread) for odd p; int64 vectors.
 
-        exp[k] = g^k for the least primitive g, walked with the scalar mul,
-        and log inverts it.  MUL = exp[(log x + log y) mod (order - 1)] with
-        zero row and column; INV[0] = 0; NEG is the MUL row of -1.  ADD is
-        digit-wise addition mod p of the p-adic encodings, which covers the
-        tower encoding c0 + q*c1 too.
+        exp lists g^k for the least primitive g (walked with the scalar mul)
+        twice over, then a zero tail; log inverts it and log[0] points into
+        the tail, so exp[log x + log y] = x * y for all x, y.  spread writes
+        the p-adic digits of an encoding (tower encodings included) in base
+        2p - 1, where two spreads add without carry, and unspread, of length
+        (2p - 1)^k for order p^k, reduces each digit mod p.  Once built, the
+        scalar inv and FieldCtx.mul read exp and log.
         """
         if self._tables is None:
             n, p = self.order, self.p
+            if n > max_field_size():
+                raise DegreeTooLarge(f"order {n} exceeds bound {max_field_size()}")
             for g in range(1, n):  # stops at the least primitive element
                 powers, x = [1], g
                 while x != 1:
@@ -284,42 +285,42 @@ class ArithCtx:
                     x = self.mul(x, g)
                 if len(powers) == n - 1:
                     break
-            exp = np.array(powers, dtype=np.int32)
-            log = np.zeros(n, dtype=np.int32)
-            log[exp] = np.arange(n - 1, dtype=np.int32)
-            s = log[:, None] + log
-            s %= n - 1
-            mul = exp[s]
-            del s
-            mul[0, :] = 0
-            mul[:, 0] = 0
-            xs = np.arange(n, dtype=np.int32)
-            if p == 2:
-                add = xs[:, None] ^ xs
-            else:
-                add = np.zeros((n, n), dtype=np.int32)
-                s = np.empty_like(add)
-                place = 1
+            self._exp = np.array(powers * 2 + [0] * (2 * n - 1), dtype=np.int64)
+            self._log = np.full(n, 2 * n - 2, dtype=np.int64)  # 0 -> the zero tail
+            self._log[powers] = np.arange(n - 1)
+            self._tables = (self._exp, self._log)
+            if p != 2:
+                spread = unspread = np.zeros(1, dtype=np.int64)
+                place, wide = 1, 1  # p^j and (2p - 1)^j
+                digits = np.arange(2 * p - 1)
                 while place < n:
-                    digit = xs // place % p
-                    np.add(digit[:, None], digit, out=s)
-                    s %= p
-                    s *= place
-                    add += s
-                    place *= p
-            inv = exp[-log % (n - 1)]
-            inv[0] = 0
-            self._exp, self._log = exp, log
-            self._tables = (add, mul, mul[self.scalar(-1)].copy(), inv)
+                    spread = (digits[:p, None] * wide + spread).ravel()
+                    unspread = (digits[:, None] % p * place + unspread).ravel()
+                    place, wide = place * p, wide * (2 * p - 1)
+                self._tables += (spread, unspread)
+                self._spread, self._unspread = spread, unspread
+            self._exp_list, self._log_list = self._exp.tolist(), self._log.tolist()
         return self._tables
+
+    def add_vec(self, x, y):
+        """Elementwise x + y of encodings (arrays or ints)."""
+        if self._tables is None:
+            self.tables()
+        if self.p == 2:
+            return x ^ y
+        return self._unspread[self._spread[x] + self._spread[y]]
+
+    def mul_vec(self, x, y):
+        """Elementwise x * y of encodings (arrays or ints)."""
+        if self._tables is None:
+            self.tables()
+        return self._exp[self._log[x] + self._log[y]]
 
     def pow_vec(self, vec: np.ndarray, e: int) -> np.ndarray:
         """Elementwise vec**e as exp[(e * log v) mod (order - 1)]; 0**0 == 1."""
         self.tables()
-        if e == 0:
-            return np.ones(len(vec), dtype=np.int32)
         out = self._exp[self._log[vec] * (e % (self.order - 1)) % (self.order - 1)]
-        out[vec == 0] = 0
+        out[vec == 0] = 0**e
         return out
 
 
@@ -343,7 +344,6 @@ class FieldCtx(ArithCtx):
         self.m = m
         self.q = p**m
         self.modulus = _least_irreducible(p, m)
-        self._mul_table = None
 
     def coeffs(self, enc: int) -> tuple[int, ...]:
         c = _enc_to_poly(enc, self.p)
@@ -377,24 +377,16 @@ class FieldCtx(ArithCtx):
         return out
 
     def mul(self, x: int, y: int) -> int:
-        t = self._mul_table
-        if t is not None:
-            return int(t[x, y])
+        exp = self._exp_list
+        if exp is not None:
+            return exp[self._log_list[x] + self._log_list[y]]
         if self.m == 1:
             return x * y % self.p
         prod = _poly_mul(_enc_to_poly(x, self.p), _enc_to_poly(y, self.p), self.p)
         return _poly_to_enc(_poly_mod(prod, self.modulus, self.p), self.p)
 
-    def tables(self):
-        """(ADD, MUL, NEG, INV) numpy tables over encodings; INV[0] = 0.
-
-        Once they exist, the scalar mul and inv read MUL and INV.
-        """
-        if self.q > TABLE_LIMIT:
-            raise DegreeTooLarge(f"q={self.q} exceeds table limit {TABLE_LIMIT}")
-        tables = self._dense_tables()
-        _, self._mul_table, _, self._inv_table = tables
-        return tables
+    # bound in this class too, so per-class instrumentation sees field calls
+    tables = ArithCtx.tables
 
     # -- misc ----------------------------------------------------------------
 

@@ -34,9 +34,13 @@ def is_bijection(eval_fn: Callable[[int], int], size: int) -> OracleReport:
 
 def images_permute(images: np.ndarray, size: int) -> bool:
     """Fast-path bijection test on a precomputed image vector."""
-    if images.min() < 0 or images.max() >= size:
+    try:
+        counts = np.bincount(images, minlength=size)
+    except ValueError:  # bincount rejects negative images
+        counts = ()
+    if len(counts) != size:
         raise ImageOutOfDomain("image vector leaves the codomain")
-    return bool(np.bincount(images, minlength=size).max() == 1)
+    return bool(counts.max() == 1)
 
 
 def multivar_bijection(G: Callable, q: int, n: int) -> OracleReport:

@@ -8,10 +8,8 @@ enc(c0) + q * enc(c1).
 
 from __future__ import annotations
 
-from .errors import DegreeTooLarge, DependentBasis, InvalidParam, LeftBaseField, SingularGram
+from .errors import DependentBasis, InvalidParam, LeftBaseField, SingularGram
 from .gf import ArithCtx, ArithElem, FieldCtx, FieldElem, find_special, power_class, trace_sum
-
-TOWER_TABLE_LIMIT = 4096
 
 
 class TowerElem(ArithElem):
@@ -113,22 +111,16 @@ class TowerCtx(ArithCtx):
             raise LeftBaseField(f"{what} {y} of {self!r} has a nonzero alpha part")
         return y0
 
-    # -- dense tables ----------------------------------------------------------
+    # -- vector arithmetic -----------------------------------------------------
 
     def tables(self):
-        """(ADD, MUL, NEG, INV) numpy tables over tower encodings; INV[0] = 0.
-
-        The base field's tables come first, so the log/antilog walk runs on
-        its O(1) scalar mul.  The tower's own scalar arithmetic never reads
-        these tables, which keeps it an independent check of them.
+        """ArithCtx.tables after the base field's tables, so that the log walk
+        runs on the base's table-backed mul.  The tower's own scalar mul never
+        reads these tables, which keeps it an independent check of them.
         """
-        if self.order > TOWER_TABLE_LIMIT:
-            raise DegreeTooLarge(
-                f"q^2={self.order} exceeds table limit {TOWER_TABLE_LIMIT}"
-            )
         if self._tables is None:
             self.base.tables()
-        return self._dense_tables()
+        return super().tables()
 
     # bound in this class too, so per-class instrumentation sees tower calls
     pow_vec = ArithCtx.pow_vec

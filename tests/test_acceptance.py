@@ -60,6 +60,15 @@ SWEEP_MATRIX = (
 
 def test_criterion_1_exhaustive_sweeps():
     configs = [(tid, p, m, {}) for tid, p, m in SWEEP_MATRIX]
+    # every odd theorem at every other admissible u for q <= 9 as well: the
+    # statements read only Tr and N, but the closed forms and tables use u
+    configs += [
+        (tid, p, m, {"u": u})
+        for tid, info in THEOREMS.items() if info.char == "odd"
+        for p, m in [(3, 1), (5, 1), (7, 1), (3, 2)]
+        if not (tid == "3.13" and m == 1)
+        for u in valid_us(build_field(p, m))[1:]
+    ]
     for p, m in [(2, 1), (2, 2), (2, 3)]:
         configs += [("3.19", p, m, {"u": u}) for u in valid_us(build_field(p, m))]
     configs += [("4.1", 2, m, {"d": d}) for m in (2, 3) for d in (1, 3)]

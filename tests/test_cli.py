@@ -187,3 +187,17 @@ def test_sweep_plan_without_tid_takes_the_flag(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(err)["records"] == 18 == len(out.strip().split("\n"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "check --p 3 --m 1 --theorem 3.14 --delta 0 --gamma 5",
+        "check --p 2 --m 1 --theorem 4.1 --d 3 --gamma 1",
+    ],
+)
+def test_check_exempts_hypothesis_violations_like_sweep(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv.split())
+    rec = json.loads(out)
+    assert not rec["agree"] and rec["note"].startswith("hypothesis-violated")
+    assert code == 0

@@ -51,6 +51,10 @@ def test_field_size_bound(monkeypatch, capsys):
     try:
         with pytest.raises(DegreeTooLarge):
             build_field(5, 2)
+        # F_5 fits, but its tower's tables of order 25 do not
+        assert main(["sweep", "--p", "5", "--m", "1", "--theorem", "3.14"]) == 65
+        err = capsys.readouterr().err
+        assert err.startswith("ppkit: ") and err.count("\n") == 1
         monkeypatch.setenv("PPKIT_MAX_Q", "lots")
         build_field.cache_clear()
         with pytest.raises(InvalidConfig):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -6,8 +7,11 @@ import random
 
 import pytest
 
+from ppkit.criteria import predict
 from ppkit.errors import InvalidConfig, MissingParam
+from ppkit.families import eval_family, family_for_theorem
 from ppkit.gf import build_field
+from ppkit.oracle import is_bijection
 from ppkit.sweep import (
     SweepPlan,
     SweepRecord,
@@ -18,7 +22,7 @@ from ppkit.sweep import (
     sweep_theorem,
     write_records,
 )
-from ppkit.tower import valid_us
+from ppkit.tower import build_tower, valid_us
 
 
 def test_sweep_order_and_domain():
@@ -132,6 +136,40 @@ def test_check_equals_sweep_record(args, kw):
     rng = random.Random(11)
     for rec in rng.sample(recs, min(len(recs), 40)):
         assert check_single(*args, delta=rec.delta, gamma=rec.gamma, **kw) == rec
+
+
+# (tid, delta, gamma) per field beyond the q <= 64 of dense q^2 x q^2 tables;
+# each field has two permuting points, and F_125 reaches the q = 0 mod 5 cases
+BEYOND_64 = {
+    (67, 1): [("3.6", 2816, 46), ("3.12", 356, 40), ("3.14", 2092, 46)],
+    (3, 4): [("3.14", 1100, 73), ("3.8", 1377, 35), ("3.6", 5102, 33)],
+    (5, 3): [("3.6", 501, 3), ("3.16", 2201, 73), ("3.10", 12153, 46)],
+}
+
+
+@pytest.mark.parametrize("p,m", list(BEYOND_64), ids=["67", "81", "125"])
+def test_check_single_beyond_q64(p, m):
+    tower = build_tower(build_field(p, m))
+    for tid, delta, gamma in BEYOND_64[p, m]:
+        # the check builds the shared base field's tables, which speed up the
+        # scalar path below; that path never reads the tower's own tables
+        got = check_single(tid, p, m, delta, gamma)
+        spec = family_for_theorem(tid, delta, gamma)
+        oracle = is_bijection(lambda x: eval_family(spec, tower, x).enc, tower.order)
+        v = predict(tid, tower, delta, gamma)
+        want = SweepRecord(
+            tid, p, m, tower.u, None, None, delta, gamma, v.predicted,
+            v.matched_case, oracle.is_permutation, v.predicted == oracle.is_permutation,
+            v.notes,
+        )
+        assert got == want
+
+
+def test_disagreements_exempt_only_hypothesis_violations():
+    rec = check_single("3.14", 3, 1, delta=0, gamma=1)
+    folded = dataclasses.replace(rec, agree=False, note="permutes only after exponent folding")
+    probe = dataclasses.replace(rec, agree=False, note="hypothesis-violated: gamma = 0")
+    assert disagreements([rec, folded, probe]) == [folded]
 
 
 # sha256 of the JSONL records, as written by the table engine before the

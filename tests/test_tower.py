@@ -74,10 +74,9 @@ def test_even_trace_is_alpha_coordinate():
 
 
 def _table_ctx(kind, p, m):
-    if kind == "flat":
-        # a fresh context: the scalar ops must not read the tables under test
-        return FieldCtx(p, m, _token=_CTX_TOKEN)
-    return build_tower(build_field(p, m))
+    # a fresh field: the scalar ops of a table-free context read no tables
+    base = FieldCtx(p, m, _token=_CTX_TOKEN)
+    return base if kind == "flat" else build_tower(base)
 
 
 @pytest.mark.parametrize(
@@ -94,16 +93,20 @@ def _table_ctx(kind, p, m):
 def test_tables_match_scalar_ops(kind, p, m, rows):
     ctx = _table_ctx(kind, p, m)
     scalar = _table_ctx(kind, p, m)
-    ADD, MUL, NEG, INV = ctx.tables()
+    ctx.tables()
+    grid = np.arange(ctx.order)
+    add = ctx.add_vec(grid[:, None], grid)
+    mul = ctx.mul_vec(grid[:, None], grid)
     xs = range(ctx.order)
     if rows is not None:
         xs = random.Random(p * 100 + m).sample(xs, rows)
     for x in xs:
-        assert NEG[x] == scalar.neg(x)
-        assert INV[x] == (scalar.inv(x) if x else 0)
-        for y in range(ctx.order):
-            assert ADD[x, y] == scalar.add(x, y)
-            assert MUL[x, y] == scalar.mul(x, y)
+        assert add[x].tolist() == [scalar.add(x, y) for y in grid.tolist()]
+        want = [scalar.mul(x, y) for y in grid.tolist()]
+        assert mul[x].tolist() == want
+        assert [ctx.mul(x, y) for y in grid.tolist()] == want
+        if x:
+            assert ctx.inv(x) == scalar.inv(x)
 
 
 def test_pow_vec_matches_pow():
@@ -115,6 +118,11 @@ def test_pow_vec_matches_pow():
         for e in (0, 1, 2, 5, 7, 11, q, q + 1, ctx.order - 1, 3 * ctx.order):
             got = ctx.pow_vec(xs, e)
             assert [scalar.pow(int(x), e) for x in xs] == list(got)
+    # e * log x passes 2^31 here, so the product must not wrap
+    ctx = build_tower(build_field(2, 8))
+    xs = np.array(random.Random(256).sample(range(ctx.order), 200))
+    for e in (40000, ctx.order - 3):
+        assert ctx.pow_vec(xs, e).tolist() == [ctx.pow(int(x), e) for x in xs]
 
 
 def test_valid_us():
