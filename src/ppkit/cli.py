@@ -41,8 +41,14 @@ def _add_field_args(p):
     p.add_argument("--u", type=int, default=None, help="override the tower's u")
 
 
-def _add_param_args(p):
+def _add_theorem_args(p):
     p.add_argument("--theorem", required=True, help="theorem id, e.g. 3.6")
+    p.add_argument("--i", type=int, default=None, help="exponent parameter i")
+    p.add_argument("--d", type=int, default=None, help="odd extension degree d")
+
+
+def _add_point_args(p):
+    _add_theorem_args(p)
     p.add_argument("--delta", type=int, default=None, help="delta encoding in F_{q^2}")
     p.add_argument(
         "--trdelta",
@@ -51,8 +57,6 @@ def _add_param_args(p):
         help="base-field encoding of Tr(delta); picks the least matching delta",
     )
     p.add_argument("--gamma", type=int, default=None, help="gamma encoding")
-    p.add_argument("--i", type=int, default=None, help="exponent parameter i")
-    p.add_argument("--d", type=int, default=None, help="odd extension degree d")
 
 
 def build_parser() -> _Parser:
@@ -64,11 +68,11 @@ def build_parser() -> _Parser:
 
     ck = sub.add_parser("check", help="compare criterion and oracle at one point")
     _add_field_args(ck)
-    _add_param_args(ck)
+    _add_point_args(ck)
 
     sw = sub.add_parser("sweep", help="exhaustive (delta, gamma) sweep")
     _add_field_args(sw)
-    _add_param_args(sw)
+    _add_theorem_args(sw)
     sw.add_argument("--plan", default=None, help="JSON plan file; flags override it")
     sw.add_argument(
         "--gamma-domain",
@@ -76,22 +80,17 @@ def build_parser() -> _Parser:
         default=None,
         help="restrict gamma to the theorem's hypothesis (default) or probe all of F_{q^2}",
     )
-    sw.add_argument(
-        "--probe-hypotheses",
-        action="store_true",
-        help="alias for --gamma-domain full",
-    )
     sw.add_argument("--workers", type=int, default=None, help="processes (default 1)")
     sw.add_argument("--out", default=None, help="output path (default stdout)")
     sw.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
 
     de = sub.add_parser("decompose", help="closed-form vs extracted components")
     _add_field_args(de)
-    _add_param_args(de)
+    _add_point_args(de)
 
     di = sub.add_parser("directions", help="direction/permuting-slope duality")
     _add_field_args(di)
-    _add_param_args(di)
+    _add_point_args(di)
     return ap
 
 
@@ -141,7 +140,7 @@ def _cmd_sweep(args) -> int:
     plan = sweep_mod.SweepPlan.from_file(
         args.plan,
         tid=args.theorem, p=args.p, m=args.m, u=args.u, i=args.i, d=args.d,
-        probe_hypotheses=True if args.probe_hypotheses else probe,
+        probe_hypotheses=probe,
         workers=args.workers,
     )
     records = sweep_mod.run_plan(plan)

@@ -4,7 +4,6 @@ cubic and quintic permutation tests they rely on."""
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -346,7 +345,7 @@ def _statement_predict(
         # (a^2/u)^{k/2} has no root of index k = p^i - 1 in F_q*
         k = B.p**i - 1
         w = powe(div(mul(a, a), tower.u), k // 2)
-        solvable = powe(w, (q - 1) // math.gcd(k, q - 1)) == 1
+        solvable = power_class(B, w, k)
         return Verdict(not solvable, "3.13" if not solvable else "none")
 
     if tid == "3.14":

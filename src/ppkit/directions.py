@@ -13,7 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .errors import DomainTooLarge
+from .oracle import images_permute
 from .tower import TowerCtx
 
 MAX_DIRECTION_FIELD = 2**12
@@ -37,32 +40,25 @@ def direction_set(
         diffs = [ctx.embed(h) for h in range(1, ctx.q)]
     images = [f(x) for x in range(size)]
     out: set[int] = set()
-    for x in range(size):
-        for h in diffs:
-            xa = add(x, h)
-            out.add(mul(sub(images[xa], images[x]), inv(h)))
+    for h in diffs:
+        hinv = inv(h)
+        for x in range(size):
+            out.add(mul(sub(images[add(x, h)], images[x]), hinv))
     return out
 
 
 def permuting_translate_set(f: Callable[[int], int], ctx) -> set[int]:
-    """All gamma for which x -> f(x) + gamma*x permutes the field."""
-    size, add, mul = ctx.order, ctx.add, ctx.mul
+    """All gamma for which x -> f(x) + gamma*x permutes the field, decided by
+    the sweep's oracle on the vector arithmetic (direction_set stays scalar)."""
+    size = ctx.order
     if size > MAX_DIRECTION_FIELD:
         raise DomainTooLarge(f"|F| = {size} exceeds {MAX_DIRECTION_FIELD}")
-    images = [f(x) for x in range(size)]
-    out: set[int] = set()
-    for g in range(size):
-        seen = bytearray(size)
-        ok = True
-        for x in range(size):
-            y = add(images[x], mul(g, x))
-            if seen[y]:
-                ok = False
-                break
-            seen[y] = 1
-        if ok:
-            out.add(g)
-    return out
+    images = np.array([f(x) for x in range(size)], dtype=np.int64)
+    xs = np.arange(size)
+    return {
+        g for g in range(size)
+        if images_permute(ctx.add_vec(images, ctx.mul_vec(g, xs)), size)
+    }
 
 
 @dataclass(frozen=True)

@@ -29,10 +29,6 @@ class InvalidSubfield(PPKitError):
     """Subfield order is not p^j with j dividing the extension degree."""
 
 
-class UnsupportedK(PPKitError):
-    """power_class only supports k in {2, 4}."""
-
-
 class WrongCharacteristic(PPKitError):
     """Operation requires the other parity of characteristic."""
 

@@ -24,7 +24,6 @@ from .errors import (
     MixedContexts,
     NoIrreducibleFound,
     NotPrime,
-    UnsupportedK,
     WrongCharacteristic,
 )
 
@@ -344,6 +343,9 @@ class FieldCtx(ArithCtx):
         self.m = m
         self.q = p**m
         self.modulus = _least_irreducible(p, m)
+        # build_tower's TowerCtx per u; made here, as a later attribute would
+        # slow the attribute reads of mul
+        self._towers = {}
 
     def coeffs(self, enc: int) -> tuple[int, ...]:
         c = _enc_to_poly(enc, self.p)
@@ -466,12 +468,14 @@ def in_subfield(ctx: FieldCtx, x: FieldElem, sub: int) -> bool:
 
 
 def power_class(ctx: FieldCtx, x: int, k: int) -> bool:
-    """True iff the encoding x is y^k for some y; zero counts as every power."""
-    if k not in (2, 4):
-        raise UnsupportedK(f"k={k}; only 2 and 4 supported")
+    """True iff the encoding x is y^k for some y; zero counts as every power.
+    Over order n that is x^((n-1)/gcd(k, n-1)) = 1 (Lidl-Niederreiter)."""
+    if k < 1:
+        raise InvalidParam(f"k={k}; a power class needs k >= 1")
     if x == 0:
         return True
-    return ctx.pow(x, (ctx.q - 1) // math.gcd(k, ctx.q - 1)) == 1
+    n = ctx.order
+    return ctx.pow(x, (n - 1) // math.gcd(k, n - 1)) == 1
 
 
 def is_square(ctx: FieldCtx, x: FieldElem) -> bool:

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import criteria
-from .errors import InvalidConfig, MissingParam
+from .errors import InvalidConfig, InvalidParam, MissingParam, WrongCharacteristic
 from .families import family_for_theorem, instantiate_exponent, theorem_info
 from .gf import build_field
 from .oracle import images_permute
@@ -87,7 +87,7 @@ def _context(info, p: int, m: int, u: Optional[int], d: Optional[int]):
         return build_field(p, m * d)
     tower = build_tower(build_field(p, m), u=u)
     if (tower.kind == "odd") != (info.char == "odd"):
-        raise MissingParam(f"theorem {info.tid} needs characteristic parity {info.char}")
+        raise WrongCharacteristic(f"theorem {info.tid} needs characteristic parity {info.char}")
     return tower
 
 
@@ -245,6 +245,8 @@ def check_single(
     """The record of one (delta, gamma), computed by the sweep's own engine."""
     info = theorem_info(tid)
     ctx = _context(info, p, m, u, d)
+    if info.kind == "trace_form" and delta != 0:
+        raise InvalidParam(f"theorem {tid} has no delta; got delta={delta}")
     ctx.elem(delta)  # both must be encodings in the theorem's field
     ctx.elem(gamma)
     [record] = _job((tid, p, m, u, i, d, (delta,), (gamma,)), ctx)

@@ -130,7 +130,8 @@ class TowerCtx(ArithCtx):
 
 
 def build_tower(base: FieldCtx, u: int | None = None) -> TowerCtx:
-    """Canonical F_{q^2} over base; u may override the canonical special element."""
+    """Canonical F_{q^2} over base; u may override the canonical special element.
+    One TowerCtx per base object and resolved u, so its tables are built once."""
     kind = "even" if base.p == 2 else "odd"
     if u is None:
         want = "abs_trace_one" if kind == "even" else "non_square"
@@ -141,7 +142,9 @@ def build_tower(base: FieldCtx, u: int | None = None) -> TowerCtx:
             raise InvalidParam(f"u={u} is a square in F_{base.q}")
         if kind == "even" and trace_sum(base, u, 2, base.m) != 1:
             raise InvalidParam(f"u={u} has absolute trace 0")
-    return TowerCtx(base, u, kind)
+    if u not in base._towers:
+        base._towers[u] = TowerCtx(base, u, kind)
+    return base._towers[u]
 
 
 def valid_us(base: FieldCtx) -> list[int]:

@@ -94,6 +94,18 @@ def test_usage_error_exit_code():
     assert proc.returncode == 64
 
 
+@pytest.mark.parametrize(
+    "flags", ["--delta 5 --gamma 2", "--delta 5", "--trdelta 1", "--probe-hypotheses"]
+)
+def test_sweep_rejects_point_flags(capsys, flags):
+    argv = ["sweep", "--p", "3", "--m", "1", "--theorem", "3.14", *flags.split()]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 64 and out.out == ""
+    assert out.err.startswith("ppkit") and ": error: " in out.err
+
+
 def test_domain_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "field-info", "--p", "4", "--m", "1")
     assert code == 65 and "ppkit:" in err
@@ -164,6 +176,7 @@ def test_sweep_flags_override_the_plan(capsys, tmp_path, monkeypatch):
         "check --p 3 --m 1 --theorem 3.14 --delta 1 --gamma 99",
         "check --p 3 --m 1 --theorem 3.14 --delta 1 --gamma -1",
         "check --p 2 --m 2 --theorem 4.1 --d 1 --gamma 99",
+        "check --p 2 --m 2 --theorem 4.1 --d 1 --delta 3 --gamma 1",
         "check --p 3 --m 1 --theorem 3.2 --delta -1 --gamma 1",
         "check --p 3 --m 2 --theorem 3.13 --delta 1 --gamma 1",
         "decompose --p 3 --m 1 --theorem 3.14 --delta 99",

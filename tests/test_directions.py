@@ -10,6 +10,7 @@ from ppkit.directions import (
 from ppkit.errors import DomainTooLarge
 from ppkit.families import eval_family, family_for_theorem
 from ppkit.gf import build_field
+from ppkit.oracle import is_bijection
 from ppkit.tower import build_tower
 
 
@@ -38,6 +39,34 @@ def test_duality_on_random_maps():
         assert rep.sizes_sum_to_field
 
 
+@pytest.mark.parametrize(
+    "ctx",
+    [
+        build_field(2, 3),
+        build_field(3, 2),
+        build_tower(build_field(3, 1)),
+        build_tower(build_field(2, 2)),
+    ],
+    ids=["F8", "F9", "F3^2", "F4^2"],
+)
+def test_permuting_translate_set_matches_brute_force(ctx):
+    rng = random.Random(ctx.order)
+    n, add, mul, pw = ctx.order, ctx.add, ctx.mul, ctx.pow
+    tables = [rng.sample(range(n), n) for _ in range(3)]  # permutations
+    tables += [[rng.randrange(n) for _ in range(n)] for _ in range(3)]
+    for _ in range(4):  # a*x^p + b*x^(p^2) + c: additive, so many slopes permute
+        a, b, c = (rng.randrange(n) for _ in range(3))
+        tables.append(
+            [add(add(mul(a, pw(x, ctx.p)), mul(b, pw(x, ctx.p**2))), c) for x in range(n)]
+        )
+    for table in tables:
+        want = {
+            g for g in range(n)
+            if is_bijection(lambda x: ctx.add(table[x], ctx.mul(g, x)), n).is_permutation
+        }
+        assert permuting_translate_set(lambda x: table[x], ctx) == want
+
+
 def test_duality_on_tower_family():
     T = build_tower(build_field(3, 1))
     for delta in range(9):
@@ -47,8 +76,6 @@ def test_duality_on_tower_family():
         # gamma makes f + gamma*x a permutation iff it is a permuting slope
         for g in range(1, 9):
             spec_g = family_for_theorem("3.2", delta, g)
-            from ppkit.oracle import is_bijection
-
             pp = is_bijection(lambda e: eval_family(spec_g, T, e).enc, 9).is_permutation
             assert pp == (g in rep.permuting)
 

@@ -7,6 +7,7 @@ from ppkit.errors import (
     DegreeTooLarge,
     DivisionByZero,
     InvalidConfig,
+    InvalidParam,
     InvalidSubfield,
     MixedContexts,
     NotPrime,
@@ -157,12 +158,15 @@ def test_square_classes():
     assert is_square(F, F.elem(0))
 
 
-def test_power_class_wrong_k():
-    F = build_field(5, 1)
-    from ppkit.errors import UnsupportedK
-
-    with pytest.raises(UnsupportedK):
-        power_class(F, F.elem(2), 3)
+def test_power_class_matches_brute_force():
+    for p, m in [(7, 1), (3, 2), (13, 1), (2, 4), (5, 2)]:
+        F = build_field(p, m)
+        for k in range(1, 9):
+            powers = {F.pow(y, k) for y in range(F.q)}
+            got = [power_class(F, x, k) for x in range(F.q)]
+            assert got == [x in powers for x in range(F.q)], (F, k)
+    with pytest.raises(InvalidParam):
+        power_class(build_field(5, 1), 2, 0)
 
 
 def test_find_special_elements():

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from ppkit.criteria import predict
-from ppkit.errors import InvalidConfig, MissingParam
+from ppkit.errors import InvalidConfig, MissingParam, WrongCharacteristic
 from ppkit.families import eval_family, family_for_theorem
 from ppkit.gf import build_field
 from ppkit.oracle import is_bijection
@@ -22,7 +22,7 @@ from ppkit.sweep import (
     sweep_theorem,
     write_records,
 )
-from ppkit.tower import build_tower, valid_us
+from ppkit.tower import TowerCtx, build_tower, valid_us
 
 
 def test_sweep_order_and_domain():
@@ -163,6 +163,26 @@ def test_check_single_beyond_q64(p, m):
             v.notes,
         )
         assert got == want
+
+
+def test_check_single_builds_the_tower_once(monkeypatch):
+    made = []
+    init = TowerCtx.__init__
+    monkeypatch.setattr(TowerCtx, "__init__", lambda self, *a: made.append(a) or init(self, *a))
+    check_single("3.6", 5, 2, delta=3, gamma=2)
+    tower = build_tower(build_field(5, 2))
+    tables = tower._tables
+    check_single("3.6", 5, 2, delta=7, gamma=1)
+    # at most one tower (none if an earlier test made it), and its tables once
+    assert len(made) <= 1
+    assert tables is not None and tower._tables is tables
+
+
+def test_wrong_parity_is_a_wrong_characteristic():
+    with pytest.raises(WrongCharacteristic):
+        sweep_theorem("3.6", 2, 1)
+    with pytest.raises(WrongCharacteristic):
+        sweep_theorem("3.19", 3, 1)
 
 
 def test_disagreements_exempt_only_hypothesis_violations():

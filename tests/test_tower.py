@@ -140,6 +140,16 @@ def test_valid_us():
         build_tower(E, u=0)  # absolute trace 0
 
 
+def test_build_tower_is_cached_per_base_object():
+    F = build_field(5, 1)
+    T = build_tower(F)
+    assert build_tower(F) is T
+    assert build_tower(F, u=T.u) is T
+    assert build_tower(F, u=3) is build_tower(F, u=3) is not T
+    fresh = FieldCtx(5, 1, _token=_CTX_TOKEN)
+    assert fresh == F and build_tower(fresh) is not T
+
+
 def test_elem_ops_and_embedding():
     T = build_tower(build_field(3, 1))
     B = T.base
