@@ -14,14 +14,16 @@ import sys
 from . import sweep as sweep_mod
 from .decompose import lemma31_extract
 from .directions import check_complementarity
-from .errors import PPKitError
+from .errors import InvalidParam, PPKitError
 from .families import (
     closed_form_components,
     eval_family,
     family_for_theorem,
+    theorem_context,
+    theorem_info,
 )
 from .gf import build_field
-from .tower import build_tower, valid_us
+from .tower import TowerCtx, build_tower, valid_us
 
 EXIT_OK = 0
 EXIT_DISAGREE = 2
@@ -31,6 +33,9 @@ EXIT_IO = 66
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
@@ -49,8 +54,9 @@ def _add_theorem_args(p):
 
 def _add_point_args(p):
     _add_theorem_args(p)
-    p.add_argument("--delta", type=int, default=None, help="delta encoding in F_{q^2}")
-    p.add_argument(
+    delta = p.add_mutually_exclusive_group()
+    delta.add_argument("--delta", type=int, default=None, help="delta encoding in F_{q^2}")
+    delta.add_argument(
         "--trdelta",
         type=int,
         default=None,
@@ -94,12 +100,14 @@ def build_parser() -> _Parser:
     return ap
 
 
-def _resolve_delta(tower, args) -> int:
+def _resolve_delta(ctx, args) -> int:
     if args.delta is not None:
         return args.delta
     if args.trdelta is not None:
-        for delta in range(tower.order):
-            if tower.trace(delta) == args.trdelta:
+        if not isinstance(ctx, TowerCtx):  # 4.1's flat field has no delta and no Tr_q^{q^2}
+            raise InvalidParam(f"theorem {args.theorem} has no delta to pick by trace")
+        for delta in range(ctx.order):
+            if ctx.trace(delta) == args.trdelta:
                 return delta
         raise PPKitError(f"no delta has trace {args.trdelta}")
     return 0
@@ -123,8 +131,8 @@ def _cmd_field_info(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    tower = build_tower(build_field(args.p, args.m), u=args.u)
-    delta = _resolve_delta(tower, args)
+    ctx = theorem_context(args.theorem, args.p, args.m, args.u, args.i, args.d)
+    delta = _resolve_delta(ctx, args)
     if args.gamma is None:
         raise PPKitError("check requires --gamma")
     rec = sweep_mod.check_single(
@@ -157,7 +165,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    tower = build_tower(build_field(args.p, args.m), u=args.u)
+    tower = build_tower(build_field(args.p, args.m), u=args.u)  # a tower even for 4.1, which the check refuses
+    theorem_info(args.theorem).check(tower, args.i, args.d, args.u)
     delta = tower.elem(_resolve_delta(tower, args))
     gamma = tower.elem(args.gamma if args.gamma is not None else 1)
     spec = family_for_theorem(args.theorem, delta.enc, gamma.enc, i=args.i, d=args.d)
@@ -181,7 +190,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_directions(args) -> int:
-    tower = build_tower(build_field(args.p, args.m), u=args.u)
+    tower = build_tower(build_field(args.p, args.m), u=args.u)  # a tower even for 4.1, which the check refuses
+    theorem_info(args.theorem).check(tower, args.i, args.d, args.u)
     delta = tower.elem(_resolve_delta(tower, args)).enc
     gamma = tower.elem(args.gamma if args.gamma is not None else 0).enc
     # duality is checked for the family with its linear part removed

@@ -91,11 +91,6 @@ def quintic_norm_pp(ctx: FieldCtx, A: int, B: int) -> bool:
     return False
 
 
-def _require_odd(tower: TowerCtx, tid: str):
-    if tower.kind != "odd":
-        raise WrongCharacteristic(f"theorem {tid} requires odd characteristic")
-
-
 # theorems whose criterion reduces to "the z-component polynomial permutes
 # F_q"; for these the prediction is decided by the normalized cubic/quintic
 # tests (exact at every q), while the stated cases provide the label
@@ -139,7 +134,11 @@ def predict(
     folding; those theorems are decided by the exact z-component test and the
     verdict carries a "folded" note when the case list disagrees.
     """
-    v = _statement_predict(tid, ctx, delta, gamma, i, d)
+    info = theorem_info(tid)
+    info.check(ctx, i, d)
+    if info.needs_d:
+        return _predict_41(ctx, gamma, d)
+    v = _statement_predict(tid, info, ctx, delta, gamma, i)
     if tid in _EXACT_VIA_G2 and v.notes is None:
         exact = _z_component_permutes(tid, ctx, delta, gamma, i)
         if exact != v.predicted:
@@ -150,21 +149,8 @@ def predict(
 
 
 def _statement_predict(
-    tid: str,
-    ctx,
-    delta: int = 0,
-    gamma: int = 0,
-    i: int | None = None,
-    d: int | None = None,
+    tid: str, info, tower: TowerCtx, delta: int, gamma: int, i: int | None
 ) -> Verdict:
-    info = theorem_info(tid)
-
-    if tid == "4.1":
-        return _predict_41(ctx, gamma, d)
-
-    if not isinstance(ctx, TowerCtx):
-        raise MissingParam(f"theorem {tid} needs a TowerCtx")
-    tower = ctx
     B = tower.base
     q = tower.q
 
@@ -178,7 +164,6 @@ def _statement_predict(
     if tid == "3.19":
         return _predict_319(tower, delta, gamma)
 
-    _require_odd(tower, tid)
     td = tower.trace(delta)
     tg = tower.trace(gamma)
     ng = tower.norm(gamma)
@@ -385,8 +370,6 @@ def _statement_predict(
 
 
 def _predict_319(tower: TowerCtx, delta: int, gamma: int) -> Verdict:
-    if tower.kind != "even":
-        raise WrongCharacteristic("theorem 3.19 requires even characteristic")
     B = tower.base
     q = tower.q
     m_odd = B.m % 2 == 1
@@ -410,13 +393,7 @@ def _predict_319(tower: TowerCtx, delta: int, gamma: int) -> Verdict:
     return Verdict(cond and m_odd, "3.19(iii)" if (cond and m_odd) else "none")
 
 
-def _predict_41(ctx: FieldCtx, gamma: int, d: int | None) -> Verdict:
-    if not isinstance(ctx, FieldCtx) or ctx.p != 2:
-        raise WrongCharacteristic("theorem 4.1 requires a flat even-char field")
-    if d is None:
-        raise MissingParam("theorem 4.1 requires d")
-    if d % 2 == 0 or ctx.m % d != 0:
-        raise MissingParam(f"d = {d} must be odd and divide m = {ctx.m}")
+def _predict_41(ctx: FieldCtx, gamma: int, d: int) -> Verdict:
     m = ctx.m // d
     if m <= 1:
         return _violated("q = 2^m needs m > 1")
@@ -466,8 +443,7 @@ def h_permutes_subfield(field: FieldCtx, q: int, h_coeffs) -> bool:
 def t319_subfield_h(tower: TowerCtx, delta: int, c: int) -> tuple[int, int, int]:
     """Coefficients (h0, h1, h2) of h(x) = h2 x^2 + h1 x + h0 over F_q with
     Tr(f(x)) = h(Tr(x)) for f = (x^q + x + delta)^{2q+1} + c*x, gamma = c in F_q."""
-    if tower.kind != "even":
-        raise WrongCharacteristic("the 3.19 trace diagram requires even characteristic")
+    theorem_info("3.19").check(tower)
     if not 0 <= c < tower.q:
         raise GammaNotInSubfield("gamma must be a base-field encoding")
     B = tower.base

@@ -17,12 +17,14 @@ from dataclasses import dataclass
 
 from .errors import (
     ExponentOutOfRange,
+    InvalidParam,
     KindContextMismatch,
     MissingParam,
     UnknownTheorem,
+    WrongCharacteristic,
 )
-from .gf import FieldCtx, FieldElem, trace_sum
-from .tower import TowerCtx, TowerElem
+from .gf import FieldCtx, FieldElem, build_field, trace_sum
+from .tower import TowerCtx, TowerElem, build_tower
 
 
 @dataclass(frozen=True)
@@ -157,6 +159,28 @@ class TheoremInfo:
     needs_d: bool = False
     has_closed_form: bool = False
 
+    def check(self, ctx, i=None, d=None, u=None) -> None:
+        """Raise unless ctx is this theorem's field and it takes each i, d, u given.
+
+        ctx None checks the parameters alone.  A missing i is raised where i is
+        read, because a sweep runs every i in [1, m) when none is given.
+        """
+        if i is not None and not self.needs_i:
+            raise InvalidParam(f"theorem {self.tid} takes no i; got i={i}")
+        if self.needs_d:
+            if ctx is not None and not (isinstance(ctx, FieldCtx) and ctx.p == 2):
+                raise WrongCharacteristic(f"theorem {self.tid} needs the flat field F_{{q^d}}, q = 2^m")
+            if u is not None:
+                raise InvalidParam(f"theorem {self.tid} takes no u; got u={u}")
+            if d is None:
+                raise MissingParam(f"theorem {self.tid} requires d")
+            if d < 1 or d % 2 == 0 or (ctx is not None and ctx.m % d != 0):
+                raise InvalidParam(f"d={d} must be odd, positive and divide the field's degree")
+        elif ctx is not None and not (isinstance(ctx, TowerCtx) and ctx.kind == self.char):
+            raise WrongCharacteristic(f"theorem {self.tid} needs a tower F_{{q^2}}, q {self.char}")
+        elif d is not None:
+            raise InvalidParam(f"theorem {self.tid} takes no d; got d={d}")
+
 
 THEOREMS: dict[str, TheoremInfo] = {
     t.tid: t
@@ -192,19 +216,29 @@ def theorem_info(tid: str) -> TheoremInfo:
         raise UnknownTheorem(f"no theorem {tid!r}") from None
 
 
+def theorem_context(tid: str, p: int, m: int, u=None, i=None, d=None):
+    """The theorem's field, checked: F_{q^d} for 4.1, else the tower F_{q^2}."""
+    info = theorem_info(tid)
+    if info.needs_d:  # F_{p^m} if d is missing or below 1, which the check refuses
+        ctx = build_field(p, m * d if d is not None and d > 0 else m)
+    else:
+        ctx = build_tower(build_field(p, m), u=u)
+    info.check(ctx, i, d, u)
+    return ctx
+
+
 def family_for_theorem(
     tid: str, delta: int, gamma: int, i: int | None = None, d: int | None = None
 ) -> FamilySpec:
     """Instantiate the theorem's family with encoded parameters."""
     info = theorem_info(tid)
+    info.check(None, i, d)
     terms = info.terms
     if info.needs_i:
         if i is None:
             raise MissingParam(f"theorem {tid} requires parameter i")
         terms = tuple(("ppow", i) if t[0] == "ppow" else t for t in terms)
-    if info.kind == "trace_form":
-        if d is None:
-            raise MissingParam(f"theorem {tid} requires parameter d")
+    if info.needs_d:
         return FamilySpec(kind="trace_form", gamma=gamma, d=d)
     return FamilySpec(
         kind=info.kind,
@@ -268,8 +302,7 @@ def closed_form_components(
     info = theorem_info(tid)
     if not info.has_closed_form:
         raise UnknownTheorem(f"theorem {tid} has no closed-form component pair")
-    if (tower.kind == "odd") != (info.char == "odd"):
-        raise KindContextMismatch(f"theorem {tid} needs {info.char} characteristic")
+    info.check(tower, i)
     B = tower.base
     u = tower.u
     a, b = tower.split(delta.enc)

@@ -414,9 +414,9 @@ def build_field(p: int, m: int) -> FieldCtx:
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if m < 1:
-        raise ValueError("m must be >= 1")
-    if p**m > max_field_size():
-        raise DegreeTooLarge(f"p^m = {p**m} exceeds bound {max_field_size()}")
+        raise InvalidParam(f"m={m}; a field needs m >= 1")
+    if m >= max_field_size().bit_length() or p**m > max_field_size():  # p^m >= 2^m
+        raise DegreeTooLarge(f"p^m = {p}^{m} exceeds bound {max_field_size()}")
     return FieldCtx(p, m, _token=_CTX_TOKEN)
 
 

@@ -19,11 +19,10 @@ from typing import Optional
 import numpy as np
 
 from . import criteria
-from .errors import InvalidConfig, InvalidParam, MissingParam, WrongCharacteristic
-from .families import family_for_theorem, instantiate_exponent, theorem_info
-from .gf import build_field
+from .errors import InvalidConfig, InvalidParam
+from .families import family_for_theorem, instantiate_exponent, theorem_context, theorem_info
 from .oracle import images_permute
-from .tower import TowerCtx, build_tower
+from .tower import TowerCtx
 
 
 @dataclass(frozen=True)
@@ -77,18 +76,6 @@ class SweepPlan:
             return cls(**data)
         except TypeError as exc:
             raise InvalidConfig(f"plan {path}: {exc}") from None
-
-
-def _context(info, p: int, m: int, u: Optional[int], d: Optional[int]):
-    """The theorem's field: F_{q^d} for the trace forms, else the tower F_{q^2}."""
-    if info.kind == "trace_form":
-        if d is None:
-            raise MissingParam(f"theorem {info.tid} requires d")
-        return build_field(p, m * d)
-    tower = build_tower(build_field(p, m), u=u)
-    if (tower.kind == "odd") != (info.char == "odd"):
-        raise WrongCharacteristic(f"theorem {info.tid} needs characteristic parity {info.char}")
-    return tower
 
 
 def _tower_rows(tid: str, tower: TowerCtx, deltas, i: Optional[int]):
@@ -146,10 +133,9 @@ def _job(job, ctx=None) -> list[SweepRecord]:
     ctx is the theorem's field; a worker process builds its own.
     """
     tid, p, m, u, i, d, deltas, gammas = job
-    info = theorem_info(tid)
     if ctx is None:
-        ctx = _context(info, p, m, u, d)
-    if info.kind == "trace_form":  # one row, at delta 0
+        ctx = theorem_context(tid, p, m, u, i, d)
+    if theorem_info(tid).needs_d:  # the trace form: one row, at delta 0
         return _records(ctx, (tid, p, m * d, 0, None, d), _trace_rows(ctx, d), gammas)
     rows = _tower_rows(tid, ctx, deltas, i)
     return _records(ctx, (tid, p, m, ctx.u, i, None), rows, gammas)
@@ -166,9 +152,11 @@ def sweep_theorem(
     workers: int = 1,
 ) -> list[SweepRecord]:
     """All records for one theorem over F_{p^m}, in (i, delta, gamma) order."""
+    if workers < 1:
+        raise InvalidParam(f"workers={workers}; a sweep needs at least 1")
     info = theorem_info(tid)
-    ctx = _context(info, p, m, u, d)
-    if info.kind == "trace_form":
+    ctx = theorem_context(tid, p, m, u, i, d)
+    if info.needs_d:
         return _job((tid, p, m, u, None, d, None, range(ctx.order)), ctx)
 
     if info.needs_i:
@@ -179,14 +167,14 @@ def sweep_theorem(
         gammas = range(ctx.order)
     else:
         gammas = range(1, ctx.q if info.gamma_domain == "Fq_star" else ctx.order)
-    bounds = np.linspace(0, ctx.order, max(workers, 1) + 1, dtype=int)
+    bounds = np.linspace(0, ctx.order, workers + 1, dtype=int)
     jobs = [
         (tid, p, m, ctx.u, iv, None, range(lo, hi), gammas)
         for iv in i_values
         for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())
         if hi > lo
     ]
-    if workers <= 1:
+    if workers == 1:
         return [r for job in jobs for r in _job(job, ctx)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return [r for chunk in pool.map(_job, jobs) for r in chunk]
@@ -243,9 +231,8 @@ def check_single(
     d: Optional[int] = None,
 ) -> SweepRecord:
     """The record of one (delta, gamma), computed by the sweep's own engine."""
-    info = theorem_info(tid)
-    ctx = _context(info, p, m, u, d)
-    if info.kind == "trace_form" and delta != 0:
+    ctx = theorem_context(tid, p, m, u, i, d)
+    if theorem_info(tid).needs_d and delta != 0:
         raise InvalidParam(f"theorem {tid} has no delta; got delta={delta}")
     ctx.elem(delta)  # both must be encodings in the theorem's field
     ctx.elem(gamma)

@@ -95,7 +95,8 @@ def test_usage_error_exit_code():
 
 
 @pytest.mark.parametrize(
-    "flags", ["--delta 5 --gamma 2", "--delta 5", "--trdelta 1", "--probe-hypotheses"]
+    "flags",
+    ["--delta 5 --gamma 2", "--delta 5", "--trdelta 1", "--probe-hypotheses", "--gamma full"],
 )
 def test_sweep_rejects_point_flags(capsys, flags):
     argv = ["sweep", "--p", "3", "--m", "1", "--theorem", "3.14", *flags.split()]
@@ -104,6 +105,26 @@ def test_sweep_rejects_point_flags(capsys, flags):
     out = capsys.readouterr()
     assert exc.value.code == 64 and out.out == ""
     assert out.err.startswith("ppkit") and ": error: " in out.err
+
+
+@pytest.mark.parametrize("cmd", ["check", "decompose", "directions"])
+def test_delta_and_trdelta_exclude_each_other(capsys, cmd):
+    argv = [cmd, "--p", "3", "--m", "1", "--theorem", "3.14", "--delta", "1", "--trdelta", "2",
+            "--gamma", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 64 and out.out == ""
+    assert "not allowed with argument --delta" in out.err
+
+
+def test_directions_takes_i_for_313_at_m_1(capsys):
+    # i = 1 is outside [1, m) here, which is a hypothesis probe, not a parameter error
+    code, out, _ = run_cli(
+        capsys, "directions", "--p", "7", "--m", "1", "--u", "3", "--theorem", "3.13",
+        "--delta", "5", "--gamma", "2", "--i", "1",
+    )
+    assert code == 0 and json.loads(out)["complementary"] is True
 
 
 def test_domain_error_exit_code(capsys):
@@ -138,8 +159,13 @@ def test_sweep_deterministic_across_processes(tmp_path):
 
 @pytest.mark.parametrize(
     "text",
-    ['{"tid": "3.14", "p": 3, "m": 1, "wokers": 2}', '{"tid": "3.14", "p": 3,', "[1, 2]"],
-    ids=["unknown-key", "malformed-json", "not-an-object"],
+    [
+        '{"tid": "3.14", "p": 3, "m": 1, "wokers": 2}',
+        '{"tid": "3.14", "p": 3,',
+        "[1, 2]",
+        '{"tid": "3.14", "p": 3, "m": 1, "workers": -3}',
+    ],
+    ids=["unknown-key", "malformed-json", "not-an-object", "workers-below-1"],
 )
 def test_sweep_rejects_bad_plan(capsys, tmp_path, text):
     plan = tmp_path / "plan.json"
@@ -183,6 +209,21 @@ def test_sweep_flags_override_the_plan(capsys, tmp_path, monkeypatch):
         "directions --p 3 --m 1 --theorem 3.14 --delta 99",
         "field-info --p 3 --m 1 --u 1",
         "sweep --p 3 --m 1 --theorem 3.13",
+        "sweep --p 3 --m 0 --theorem 3.14",
+        "field-info --p 3 --m 0",
+        "check --p 3 --m -1 --theorem 3.14 --gamma 1",
+        "sweep --p 2 --m 2 --theorem 4.1 --d 1 --u 3",
+        "check --p 2 --m 2 --theorem 4.1 --d 1 --u 0 --gamma 1",
+        "check --p 2 --m 2 --theorem 4.1 --d 1 --trdelta 1 --gamma 1",
+        "sweep --p 3 --m 1 --theorem 3.14 --i 7",
+        "sweep --p 3 --m 1 --theorem 3.14 --d 3",
+        "sweep --p 2 --m 1 --theorem 4.1 --d 0",
+        "sweep --p 2 --m 1 --theorem 4.1 --d -1",
+        "sweep --p 2 --m 1 --theorem 4.1 --d 99999",
+        "sweep --p 3 --m 1 --theorem 3.14 --workers 0",
+        "sweep --p 3 --m 1 --theorem 3.14 --workers -3",
+        "decompose --p 2 --m 2 --theorem 4.1 --d 1",
+        "directions --p 2 --m 2 --theorem 4.1 --d 1",
     ],
 )
 def test_bad_point_parameters_exit_65(capsys, argv):

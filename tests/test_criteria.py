@@ -10,7 +10,7 @@ from ppkit.criteria import (
     subfield_elements,
     t319_subfield_h,
 )
-from ppkit.errors import GammaNotInSubfield, MissingParam, WrongCharacteristic
+from ppkit.errors import GammaNotInSubfield, InvalidParam, MissingParam, WrongCharacteristic
 from ppkit.families import FamilySpec, eval_family, family_for_theorem
 from ppkit.gf import build_field
 from ppkit.oracle import is_bijection
@@ -114,7 +114,7 @@ def test_predict_41():
     assert v.predicted  # gamma = 0 gives the identity
     with pytest.raises(MissingParam):
         predict("4.1", F, 0, 1)
-    with pytest.raises(MissingParam):
+    with pytest.raises(InvalidParam):
         predict("4.1", F, 0, 1, d=2)
     v = predict("4.1", build_field(2, 1), 0, 1, d=1)
     assert not v.predicted and "hypothesis-violated" in v.notes

@@ -1,6 +1,13 @@
 import pytest
 
-from ppkit.errors import ExponentOutOfRange, KindContextMismatch, UnknownTheorem
+from ppkit.criteria import predict
+from ppkit.errors import (
+    ExponentOutOfRange,
+    InvalidParam,
+    KindContextMismatch,
+    UnknownTheorem,
+    WrongCharacteristic,
+)
 from ppkit.families import (
     THEOREMS,
     ComponentTable,
@@ -13,6 +20,7 @@ from ppkit.families import (
     theorem_info,
 )
 from ppkit.gf import build_field
+from ppkit.sweep import check_single
 from ppkit.tower import build_tower
 
 
@@ -127,3 +135,24 @@ def test_serialize_round_trip():
         gamma=d["gamma"],
         linear_kind=d["linear_kind"],
     ) == spec
+
+
+T4 = build_tower(build_field(2, 2))
+T3 = build_tower(build_field(3, 1))
+
+
+@pytest.mark.parametrize(
+    "call, fault",
+    [
+        (lambda: predict("3.6", T4, 0, 0), WrongCharacteristic),
+        (lambda: predict("3.6", build_field(3, 2), 0, 1), WrongCharacteristic),
+        (lambda: closed_form_components("3.6", T4, T4.elem(0), T4.elem(1)), WrongCharacteristic),
+        (lambda: predict("4.1", build_field(2, 2), 0, 1, d=2), InvalidParam),
+        (lambda: predict("3.14", T3, 0, 1, i=7), InvalidParam),
+        (lambda: check_single("3.14", 3, 1, 0, 1, d=5), InvalidParam),
+    ],
+    ids=["parity-before-gamma", "flat-field", "closed-form-parity", "even-d", "foreign-i", "foreign-d"],
+)
+def test_theorem_check_raises_one_class_per_fault(call, fault):
+    with pytest.raises(fault):
+        call()
