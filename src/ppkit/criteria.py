@@ -14,7 +14,7 @@ from .errors import (
     WrongCharacteristic,
 )
 from .families import closed_form_components, theorem_info
-from .gf import FieldCtx, power_class, trace_sum
+from .gf import FieldCtx, _check_subfield, power_class, subfield_order, trace_sum
 from .tower import TowerCtx
 
 
@@ -409,6 +409,7 @@ def _predict_41(ctx: FieldCtx, gamma: int, d: int) -> Verdict:
 
 def subfield_elements(ctx: FieldCtx, q: int) -> list[int]:
     """Encodings of the subfield of order q inside ctx."""
+    _check_subfield(ctx, q)
     return [x for x in range(ctx.q) if ctx.pow(x, q) == x]
 
 
@@ -418,9 +419,7 @@ def reduce_trace_composed(g_coeffs, field: FieldCtx, n: int) -> list[int]:
     g_coeffs are the encodings of a_1..a_{q-1} in F_{q^n}; the returned
     encodings live in the subfield F_q of the same field.
     """
-    if field.m % n != 0:
-        raise ValueError(f"n = {n} does not divide m = {field.m}")
-    q = field.p ** (field.m // n)
+    q = subfield_order(field, n)
     if len(g_coeffs) != q - 1:
         raise ValueError("g_coeffs must be indexed 1..q-1 (reduce first)")
     return [trace_sum(field, a, q, n) for a in g_coeffs]

@@ -25,7 +25,7 @@ class MixedContexts(PPKitError):
     """Operands belong to different field contexts."""
 
 
-class InvalidSubfield(PPKitError):
+class InvalidSubfield(PPKitError, ValueError):
     """Subfield order is not p^j with j dividing the extension degree."""
 
 

@@ -13,6 +13,8 @@ s = e_q * q + e_1, and ("ppow", i) denotes s = q + p^i.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -23,7 +25,7 @@ from .errors import (
     UnknownTheorem,
     WrongCharacteristic,
 )
-from .gf import FieldCtx, FieldElem, build_field, trace_sum
+from .gf import FieldCtx, FieldElem, build_field, subfield_order, trace_sum
 from .tower import TowerCtx, TowerElem, build_tower
 
 
@@ -51,24 +53,18 @@ class FamilySpec:
         }
 
 
+def _exponent_pair(term, p: int) -> tuple[int, int]:
+    """(e_q, e_1) of a portable exponent spec; ("ppow", i) is (1, p^i)."""
+    return (1, p ** term[1]) if term[0] == "ppow" else term
+
+
 def instantiate_exponent(term, q: int, p: int) -> int:
     """Resolve a portable exponent spec at a concrete q."""
-    if term[0] == "ppow":
-        s = q + p ** term[1]
-    else:
-        e_q, e_1 = term
-        s = e_q * q + e_1
+    e_q, e_1 = _exponent_pair(term, p)
+    s = e_q * q + e_1
     if s <= 0:
         raise ExponentOutOfRange(f"s = {s} must be positive")
     return s
-
-
-def _subfield_order(ctx: FieldCtx, parts: int) -> int:
-    if ctx.m % parts != 0:
-        raise KindContextMismatch(
-            f"extension degree {parts} does not divide m = {ctx.m}"
-        )
-    return ctx.p ** (ctx.m // parts)
 
 
 def reduce_poly_coeffs(coeffs: dict[int, int], field_ctx: FieldCtx, q: int) -> list[int]:
@@ -114,9 +110,9 @@ def eval_family(spec: FamilySpec, ctx, x):
     if spec.kind == "trace_form":
         if not isinstance(ctx, FieldCtx):
             raise KindContextMismatch("trace_form needs a flat FieldCtx")
+        q = subfield_order(ctx, spec.d)
         if spec.d % 2 == 0:
             raise ValueError("trace_form requires odd d")
-        q = _subfield_order(ctx, spec.d)
         if isinstance(x, FieldElem):
             x = x.enc
         w = ctx.mul(ctx.pow(x, q), x)  # x^{q+1}
@@ -127,7 +123,7 @@ def eval_family(spec: FamilySpec, ctx, x):
     if spec.kind == "trace_composed":
         if not isinstance(ctx, FieldCtx):
             raise KindContextMismatch("trace_composed needs a flat FieldCtx")
-        q = _subfield_order(ctx, spec.n)
+        q = subfield_order(ctx, spec.n)
         if len(spec.g_coeffs) != q - 1:
             raise ValueError("g_coeffs must have length q - 1 (reduce first)")
         if isinstance(x, FieldElem):
@@ -159,6 +155,14 @@ class TheoremInfo:
     needs_d: bool = False
     has_closed_form: bool = False
 
+    def exponents(self, i=None) -> tuple:
+        """The registered terms, with i put into ("ppow", i)."""
+        if not self.needs_i:
+            return self.terms
+        if i is None:
+            raise MissingParam(f"theorem {self.tid} requires parameter i")
+        return tuple(("ppow", i) if t[0] == "ppow" else t for t in self.terms)
+
     def check(self, ctx, i=None, d=None, u=None) -> None:
         """Raise unless ctx is this theorem's field and it takes each i, d, u given.
 
@@ -167,6 +171,8 @@ class TheoremInfo:
         """
         if i is not None and not self.needs_i:
             raise InvalidParam(f"theorem {self.tid} takes no i; got i={i}")
+        if i is not None and i < 0:  # i = 0 and i >= m are hypothesis probes
+            raise InvalidParam(f"i={i}; the exponent q + p^i needs i >= 0")
         if self.needs_d:
             if ctx is not None and not (isinstance(ctx, FieldCtx) and ctx.p == 2):
                 raise WrongCharacteristic(f"theorem {self.tid} needs the flat field F_{{q^d}}, q = 2^m")
@@ -233,11 +239,7 @@ def family_for_theorem(
     """Instantiate the theorem's family with encoded parameters."""
     info = theorem_info(tid)
     info.check(None, i, d)
-    terms = info.terms
-    if info.needs_i:
-        if i is None:
-            raise MissingParam(f"theorem {tid} requires parameter i")
-        terms = tuple(("ppow", i) if t[0] == "ppow" else t for t in terms)
+    terms = info.exponents(i)
     if info.needs_d:
         return FamilySpec(kind="trace_form", gamma=gamma, d=d)
     return FamilySpec(
@@ -297,7 +299,10 @@ def closed_form_components(
     """The theorem's closed-form component pair (g1, g2), constants dropped.
 
     Coordinate conventions: delta = a + b*alpha, gamma = c + d*alpha,
-    with alpha^2 = u (odd) or alpha^2 = alpha + u (even).
+    with alpha^2 = u (odd) or alpha^2 = alpha + u (even).  The substitution
+    x = y - (z - b)*alpha/2 (odd) or x = y + (z + a)*alpha (even) makes the
+    core x^q -+ x + delta = a + z*alpha or z + b*alpha; the core part is
+    expanded from the theorem's registered exponents, in powers of v = a or b.
     """
     info = theorem_info(tid)
     if not info.has_closed_form:
@@ -307,165 +312,73 @@ def closed_form_components(
     u = tower.u
     a, b = tower.split(delta.enc)
     c, d = tower.split(gamma.enc)
-
-    def s(n: int) -> int:  # small integer constant in F_q
-        return B.scalar(n)
-
-    def m(*xs) -> int:
-        acc = 1
-        for x in xs:
-            acc = B.mul(acc, x)
-        return acc
-
-    def ad(*xs) -> int:
-        acc = 0
-        for x in xs:
-            acc = B.add(acc, x)
-        return acc
-
-    neg = B.neg
-    half = B.inv(s(2)) if B.p != 2 else None
-    ap = lambda k: B.pow(a, k)
-    up = lambda k: B.pow(u, k)
-
     if info.gamma_domain == "Fq_star" and d != 0:
         raise KindContextMismatch(f"theorem {tid} requires gamma in F_q")
-    g = c  # the gamma-in-F_q theorems use a scalar gamma throughout
 
-    if tid == "3.1":
-        g1 = {(1, 0): c, (0, 2): neg(m(u, a)), (0, 1): neg(m(u, d, half))}
-        g2 = {(1, 0): d, (0, 3): neg(u), (0, 1): B.sub(ap(2), m(c, half))}
-    elif tid == "3.4":
-        g1 = {(1, 0): c, (0, 2): neg(m(s(2), a, u)), (0, 1): neg(m(u, d, half))}
-        g2 = {(1, 0): d, (0, 1): neg(m(c, half))}
-    elif tid == "3.5":
-        g1 = {
-            (1, 0): c,
-            (0, 4): m(s(2), a, up(2)),
-            (0, 2): m(s(12), ap(3), u),
-            (0, 1): neg(m(u, d, half)),
-        }
-        g2 = {
-            (1, 0): d,
-            (0, 3): m(s(8), ap(2), u),
-            (0, 1): B.sub(m(s(8), ap(4)), m(c, half)),
-        }
-    elif tid == "3.6":
-        w = ad(m(s(2), ap(2)), s(1))  # 2a^2 + 1
-        g1 = {(1, 0): g, (0, 4): m(a, up(2)), (0, 2): neg(m(a, u, w))}
-        g2 = {
-            (0, 5): neg(up(2)),
-            (0, 3): m(w, u),
-            (0, 1): neg(ad(ap(4), ap(2), m(g, half))),
-        }
-    elif tid == "3.7":
-        g1 = {
-            (1, 0): g,
-            (0, 4): m(a, up(2)),
-            (0, 2): m(B.sub(s(1), m(s(2), ap(3))), u),
-        }
-        g2 = {
-            (0, 5): up(2),
-            (0, 3): neg(m(s(2), u, ap(2))),
-            (0, 1): B.sub(B.sub(ap(4), m(s(2), a)), m(g, half)),
-        }
-    elif tid == "3.8":
-        g1 = {(1, 0): g, (0, 4): neg(m(s(6), ap(2), up(2))), (0, 2): m(s(4), ap(4), u)}
-        g2 = {
-            (0, 5): neg(m(s(2), a, up(2))),
-            (0, 3): neg(m(s(4), ap(3), u)),
-            (0, 1): B.sub(m(s(6), ap(5)), m(g, half)),
-        }
-    elif tid == "3.9":
-        g1 = {
-            (1, 0): g,
-            (0, 6): up(3),
-            (0, 4): neg(m(ap(2), up(2))),
-            (0, 2): neg(m(ap(4), u)),
-        }
-        g2 = {
-            (0, 5): m(s(2), a, up(2)),
-            (0, 3): neg(m(s(4), ap(3), u)),
-            (0, 1): B.sub(B.sub(m(s(2), ap(5)), s(1)), m(g, half)),
-        }
-    elif tid == "3.10":
-        g1 = {(1, 0): g, (0, 4): m(s(6), a, up(2)), (0, 2): m(s(8), ap(3), u)}
-        g2 = {
-            (0, 3): neg(m(s(12), ap(2), u)),
-            (0, 1): neg(ad(m(s(4), ap(4)), m(g, half))),
-        }
-    elif tid == "3.11":
-        g1 = {
-            (1, 0): g,
-            (0, 6): up(3),
-            (0, 4): neg(m(ap(2), up(2))),
-            (0, 2): m(B.sub(s(1), ap(4)), u),
-        }
-        g2 = {
-            (0, 5): m(s(2), a, up(2)),
-            (0, 3): neg(m(s(4), ap(3), u)),
-            (0, 1): B.sub(B.sub(m(s(2), ap(5)), m(s(2), a)), m(g, half)),
-        }
-    elif tid == "3.12":
-        g1 = {
-            (1, 0): g,
-            (0, 6): neg(up(3)),
-            (0, 4): neg(m(s(5), ap(2), up(2))),
-            (0, 2): m(ad(m(s(5), ap(4)), s(1)), u),
-        }
-        g2 = {
-            (0, 5): neg(m(s(4), a, up(2))),
-            (0, 1): B.sub(B.sub(m(s(4), ap(5)), m(s(2), a)), m(g, half)),
-        }
-    elif tid == "3.13":
-        if i is None:
-            raise MissingParam("theorem 3.13 needs parameter i")
-        pi = B.p**i
-        g1 = {(1, 0): m(s(2), g), (0, pi + 1): neg(B.pow(u, (pi + 1) // 2))}
-        g2 = {(0, pi): m(a, B.pow(u, (pi - 1) // 2)), (0, 1): neg(ap(pi))}
-    elif tid == "3.14":
-        g1 = {(1, 0): m(s(2), g), (0, 2): neg(m(a, u))}
-        g2 = {(0, 3): neg(u), (0, 1): ap(2)}
-    elif tid == "3.15":
-        g1 = {(1, 0): m(s(2), g), (0, 4): m(a, up(2)), (0, 2): neg(m(s(2), ap(3), u))}
-        g2 = {(0, 5): neg(up(2)), (0, 3): m(s(2), ap(2), u), (0, 1): neg(ap(4))}
-    elif tid == "3.16":
-        g1 = {
-            (1, 0): m(s(2), g),
-            (0, 6): up(3),
-            (0, 4): neg(m(ap(2), up(2))),
-            (0, 2): neg(m(ap(4), u)),
-        }
-        g2 = {
-            (0, 5): neg(m(s(2), a, up(2))),
-            (0, 3): m(s(4), ap(3), u),
-            (0, 1): neg(m(s(2), ap(5))),
-        }
-    elif tid == "3.17":
-        w = ad(m(s(2), a), s(1))  # 2a + 1
-        g1 = {(1, 0): m(s(2), g), (0, 4): neg(up(2)), (0, 2): neg(m(a, u))}
-        g2 = {(0, 3): neg(m(w, u)), (0, 1): m(w, ap(2))}
-    elif tid == "3.18":
-        w = ad(m(s(2), a), s(1))
-        g1 = {
-            (1, 0): m(s(2), g),
-            (0, 6): up(3),
-            (0, 4): m(a, up(2), B.sub(s(1), a)),
-            (0, 2): neg(m(ap(3), u, ad(a, s(2)))),
-        }
-        g2 = {
-            (0, 5): neg(m(w, up(2))),
-            (0, 3): m(s(2), ap(2), w, u),
-            (0, 1): neg(m(w, ap(4))),
-        }
-    elif tid == "3.19":
-        g1 = {
-            (1, 0): c,
-            (0, 3): s(1),
-            (0, 1): ad(m(b, b, u), m(b, b), m(d, u)),
-        }
-        g2 = {(1, 0): d, (0, 2): b, (0, 1): ad(m(b, b), c, d)}
-    else:
-        raise UnknownTheorem(f"no closed form wired for {tid}")
+    odd = tower.kind == "odd"
+    v = a if odd else b
+    g = ({}, {})  # g1, g2
+    vk, k = 1, 0  # v^k
+    for vdeg, which, key, const in _core_monomials(info.exponents(i), B.p, B.m, u):
+        if vdeg != k:
+            vk = B.mul(vk, v if vdeg == k + 1 else B.pow(v, vdeg - k))
+            k = vdeg
+        slot, t = g[which], B.mul(const, vk)
+        slot[key] = B.add(slot[key], t) if key in slot else t
 
-    return ComponentTable(B, g1, g2)
+    # gamma * L(x): x^q + x is 2y, and x = y + (const + r*z)*alpha gives
+    # gamma*y + r*z*gamma*alpha, where gamma*alpha = d*u + (c, or c + d if even)*alpha
+    if info.linear_kind == "xq_plus_x":
+        lin_y, lin_z = (B.add(c, c), B.add(d, d)), (0, 0)
+    elif odd:  # r = -1/2
+        r = B.neg(tower._half)
+        lin_y, lin_z = (c, d), (B.mul(r, B.mul(d, u)), B.mul(r, c))
+    else:  # r = 1
+        lin_y, lin_z = (c, d), (B.mul(d, u), B.add(c, d))
+    for slot, ty, tz in zip(g, lin_y, lin_z):
+        slot[(1, 0)] = ty
+        if tz:
+            slot[(0, 1)] = B.add(slot[(0, 1)], tz) if (0, 1) in slot else tz
+    return ComponentTable(B, *g)
+
+
+def _binomials(e: int, p: int) -> list[tuple[int, int]]:
+    """(k, C(e, k) mod p) for every k where it is nonzero, digit by digit (Lucas)."""
+    out, place = [(0, 1)], 1
+    while e:
+        e, digit = divmod(e, p)
+        out = [(k + j * place, c * math.comb(digit, j) % p) for k, c in out for j in range(digit + 1)]
+        place *= p
+    return out
+
+
+@functools.cache
+def _core_monomials(terms: tuple, p: int, m: int, u: int) -> tuple:
+    """sum_s core^s over F_q at u, as (v-degree, g index, (0, z-degree), constant)
+    in v-degree order, constants and zero terms dropped.
+
+    core = v + z*alpha (odd, v = a) or z + v*alpha (even, v = b); core^q swaps
+    alpha for its conjugate alpha^q, so core^(e_q*q + e_1) = core^e_1 * conj^e_q.
+    Binomial terms k of the one and l of the other carry alpha^k * (alpha^q)^l,
+    whose coordinates fold into the constants of the g1 and g2 monomials with
+    z^(k+l) v^(n-k-l) (odd) or z^(n-k-l) v^(k+l) (even), n = e_1 + e_q.
+    Keyed on (p, m) rather than a context, so no field or tower is kept.
+    """
+    tower = build_tower(build_field(p, m), u)
+    alpha = tower.from_coords(0, 1)
+    conj = tower.frob(alpha)
+    B, odd = tower.base, tower.kind == "odd"
+    acc = {}
+    for term in terms:
+        e_q, e_1 = _exponent_pair(term, p)
+        for k, ck in _binomials(e_1, p):
+            for l, cl in _binomials(e_q, p):
+                j, n = k + l, e_1 + e_q
+                zdeg, vdeg = (j, n - j) if odd else (n - j, j)
+                if zdeg == 0:
+                    continue
+                w = tower.mul(tower.pow(alpha, k), tower.pow(conj, l))
+                for which, x in enumerate(tower.split(w)):
+                    key = (vdeg, which, (0, zdeg))
+                    acc[key] = B.add(acc.get(key, 0), B.mul(B.scalar(ck * cl), x))
+    return tuple((*key, c) for key, c in sorted(acc.items()) if c)

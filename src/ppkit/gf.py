@@ -392,9 +392,6 @@ class FieldCtx(ArithCtx):
 
     # -- misc ----------------------------------------------------------------
 
-    def serialize(self) -> dict:
-        return {"p": self.p, "m": self.m, "modulus": list(self.modulus)}
-
     def __repr__(self):
         return f"FieldCtx(p={self.p}, m={self.m})"
 
@@ -418,6 +415,13 @@ def build_field(p: int, m: int) -> FieldCtx:
     if m >= max_field_size().bit_length() or p**m > max_field_size():  # p^m >= 2^m
         raise DegreeTooLarge(f"p^m = {p}^{m} exceeds bound {max_field_size()}")
     return FieldCtx(p, m, _token=_CTX_TOKEN)
+
+
+def subfield_order(ctx: FieldCtx, n: int) -> int:
+    """Order of the subfield F_sub with [ctx : F_sub] = n, or raise InvalidSubfield."""
+    if n < 1 or ctx.m % n != 0:
+        raise InvalidSubfield(f"F_{ctx.q} has no subfield of index {n}")
+    return ctx.p ** (ctx.m // n)
 
 
 def _check_subfield(ctx: FieldCtx, sub: int) -> int:

@@ -9,9 +9,9 @@ permutation check agree.  Records are emitted in deterministic
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -21,6 +21,7 @@ import numpy as np
 from . import criteria
 from .errors import InvalidConfig, InvalidParam
 from .families import family_for_theorem, instantiate_exponent, theorem_context, theorem_info
+from .gf import subfield_order
 from .oracle import images_permute
 from .tower import TowerCtx
 
@@ -96,7 +97,7 @@ def _tower_rows(tid: str, tower: TowerCtx, deltas, i: Optional[int]):
 
 def _trace_rows(field, d: int):
     """The one row (0, x, Tr(x^{q+1} + x^{2q+2})) of the trace form over F_{q^d}."""
-    q = field.p ** (field.m // d)
+    q = subfield_order(field, d)
     xs = np.arange(field.order)
     w = field.pow_vec(xs, q + 1)
     t = field.add_vec(w, field.mul_vec(w, w))  # x^{q+1} + x^{2q+2}
@@ -202,8 +203,7 @@ def summarize(records: list[SweepRecord]) -> dict:
 
 def write_records(records: list[SweepRecord], out, fmt: str = "jsonl"):
     """Write records as JSONL or CSV to a path or open stream."""
-    stream = out if hasattr(out, "write") else open(out, "w")
-    try:
+    with contextlib.nullcontext(out) if hasattr(out, "write") else open(out, "w") as stream:
         if fmt == "jsonl":
             for r in records:
                 stream.write(json.dumps(r.serialize()) + "\n")
@@ -215,9 +215,6 @@ def write_records(records: list[SweepRecord], out, fmt: str = "jsonl"):
                 writer.writerow(r.serialize())
         else:
             raise ValueError(f"unknown format {fmt!r}")
-    finally:
-        if stream is not sys.stdout and not hasattr(out, "write"):
-            stream.close()
 
 
 def check_single(

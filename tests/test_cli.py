@@ -75,6 +75,16 @@ def test_decompose(capsys):
     assert json.loads(out)["values_match"] is True
 
 
+def test_decompose_313_at_i_0(capsys):
+    # i = 0 is a hypothesis probe: the exponent q + 1 gives the core a^2 - u z^2
+    code, out, _ = run_cli(
+        capsys, "decompose", "--p", "3", "--m", "2", "--theorem", "3.13",
+        "--i", "0", "--delta", "1", "--gamma", "1",
+    )
+    assert code == 0
+    assert json.loads(out)["values_match"] is True
+
+
 def test_directions(capsys):
     code, out, _ = run_cli(
         capsys, "directions", "--p", "3", "--m", "1", "--theorem", "3.2",
@@ -224,6 +234,10 @@ def test_sweep_flags_override_the_plan(capsys, tmp_path, monkeypatch):
         "sweep --p 3 --m 1 --theorem 3.14 --workers -3",
         "decompose --p 2 --m 2 --theorem 4.1 --d 1",
         "directions --p 2 --m 2 --theorem 4.1 --d 1",
+        "sweep --p 3 --m 2 --theorem 3.13 --i -1",
+        "check --p 3 --m 2 --theorem 3.13 --i -1 --delta 1 --gamma 1",
+        "decompose --p 3 --m 2 --theorem 3.13 --i -1 --delta 1 --gamma 1",
+        "directions --p 3 --m 2 --theorem 3.13 --i -1 --delta 1 --gamma 1",
     ],
 )
 def test_bad_point_parameters_exit_65(capsys, argv):

@@ -10,7 +10,13 @@ from ppkit.criteria import (
     subfield_elements,
     t319_subfield_h,
 )
-from ppkit.errors import GammaNotInSubfield, InvalidParam, MissingParam, WrongCharacteristic
+from ppkit.errors import (
+    GammaNotInSubfield,
+    InvalidParam,
+    InvalidSubfield,
+    MissingParam,
+    WrongCharacteristic,
+)
 from ppkit.families import FamilySpec, eval_family, family_for_theorem
 from ppkit.gf import build_field
 from ppkit.oracle import is_bijection
@@ -124,6 +130,30 @@ def test_subfield_elements():
     F = build_field(2, 4)
     S = subfield_elements(F, 4)
     assert len(S) == 4 and 0 in S and 1 in S
+
+
+F9 = build_field(3, 2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: subfield_elements(F9, 5),
+        lambda: h_permutes_subfield(F9, 5, [0, 0, 0, 0]),
+        lambda: eval_family(FamilySpec(kind="trace_composed", n=0, g_coeffs=(1, 4)), F9, 1),
+        lambda: reduce_trace_composed((1, 4), F9, 0),
+        lambda: eval_family(FamilySpec(kind="trace_form", d=-1, gamma=1), build_field(2, 2), 1),
+        lambda: eval_family(FamilySpec(kind="trace_form", d=0, gamma=1), build_field(2, 2), 1),
+        lambda: eval_family(FamilySpec(kind="trace_composed", n=3, g_coeffs=(1, 4)), F9, 1),
+        lambda: reduce_trace_composed((1, 4), F9, 3),
+    ],
+    ids=["elements-of-order-5", "h-of-order-5", "eval-index-0", "reduce-index-0",
+         "trace-form-d-minus-1", "trace-form-d-0", "eval-index-not-dividing", "reduce-index-not-dividing"],
+)
+def test_subfield_faults_raise_invalid_subfield(call):
+    with pytest.raises(InvalidSubfield) as exc:
+        call()
+    assert isinstance(exc.value, ValueError)
 
 
 def test_reduce_trace_composed_and_h():

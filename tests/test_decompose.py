@@ -11,7 +11,7 @@ from ppkit.decompose import (
     verify_equivalence,
 )
 from ppkit.errors import DependentBasis, KindContextMismatch, SingularMatrix
-from ppkit.families import FamilySpec, closed_form_components, family_for_theorem
+from ppkit.families import THEOREMS, FamilySpec, closed_form_components, family_for_theorem
 from ppkit.gf import build_field
 from ppkit.tower import build_tower
 
@@ -113,12 +113,24 @@ def test_equivalence_on_known_permutation():
 
 def test_lemma31_extract_matches_closed_form():
     T = build_tower(build_field(5, 1))
-    for tid, gamma in [("3.1", 7), ("3.6", 2), ("3.14", 3)]:
-        for delta in (0, 3, 13):
-            spec = family_for_theorem(tid, delta, gamma)
-            ext = lemma31_extract(spec, T)
-            clo = closed_form_components(tid, T, T.elem(delta), T.elem(gamma))
-            assert clo.same_values(ext)
+    cases = [(T, tid, gamma, delta, None) for tid, gamma in [("3.1", 7), ("3.6", 2), ("3.14", 3)]
+             for delta in (0, 3, 13)]
+    # 3.13 at i = 0, a hypothesis probe: its core a^2 - u*z^2 has no z^1 term
+    T9 = build_tower(build_field(3, 2))
+    cases += [(T, "3.13", 2, 3, 0), (T, "3.13", 4, 17, 0), (T9, "3.13", 1, 1, 0), (T9, "3.13", 5, 40, 0)]
+    # one seeded point per closed-form theorem over a non-prime base
+    rng = random.Random(31)
+    T8 = build_tower(build_field(2, 3))
+    for info in THEOREMS.values():
+        if info.has_closed_form:
+            t = T9 if info.char == "odd" else T8
+            gamma = rng.randrange(1, t.q if info.gamma_domain == "Fq_star" else t.order)
+            cases.append((t, info.tid, gamma, rng.randrange(t.order), 1 if info.needs_i else None))
+    for t, tid, gamma, delta, i in cases:
+        spec = family_for_theorem(tid, delta, gamma, i=i)
+        ext = lemma31_extract(spec, t)
+        clo = closed_form_components(tid, t, t.elem(delta), t.elem(gamma), i=i)
+        assert clo.same_values(ext), (tid, t.q, delta, gamma, i)
 
 
 def test_lemma31_extract_rejects_flat_kinds():

@@ -1,3 +1,7 @@
+import hashlib
+import json
+import random
+
 import pytest
 
 from ppkit.criteria import predict
@@ -21,7 +25,7 @@ from ppkit.families import (
 )
 from ppkit.gf import build_field
 from ppkit.sweep import check_single
-from ppkit.tower import build_tower
+from ppkit.tower import build_tower, valid_us
 
 
 def test_instantiate_exponent():
@@ -121,6 +125,28 @@ def test_closed_form_requires_gamma_in_base():
         closed_form_components("3.6", T, T.elem(0), T.elem(4))
     with pytest.raises(UnknownTheorem):
         closed_form_components("3.2", T, T.elem(0), T.elem(1))
+
+
+def test_closed_forms_are_pinned():
+    """sha256 of the pairs at seeded points over fields criterion 3's O(q^3)
+    extraction cannot reach, at the canonical and the largest u, as written
+    by the theorem-by-theorem closed forms this expansion replaced."""
+    rng = random.Random(9)
+    digest = hashlib.sha256()
+    for p, m in [(5, 2), (3, 3), (7, 2), (3, 4), (2, 4), (2, 6)]:
+        base = build_field(p, m)
+        for u in (None, valid_us(base)[-1]):
+            T = build_tower(base, u)
+            for info in THEOREMS.values():
+                if not info.has_closed_form or info.char != T.kind:
+                    continue
+                for i in range(1, m) if info.needs_i else [None]:
+                    for _ in range(10):
+                        delta = rng.randrange(T.order)
+                        gamma = rng.randrange(1, T.q if info.gamma_domain == "Fq_star" else T.order)
+                        table = closed_form_components(info.tid, T, T.elem(delta), T.elem(gamma), i=i)
+                        digest.update(json.dumps(table.serialize()).encode())
+    assert digest.hexdigest() == "0e617345c73f1bc6702c5befb0d78d848d8482ac0ac0b346fdf4c02765d61c70"
 
 
 def test_serialize_round_trip():
