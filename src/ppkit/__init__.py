@@ -21,7 +21,7 @@ from .families import (
 )
 from .gf import FieldCtx, FieldElem, build_field, frobenius, trace_and_norm
 from .oracle import OracleReport, is_bijection, multivar_bijection
-from .sweep import SweepPlan, SweepRecord, check_single, sweep_theorem, write_records
+from .sweep import SweepRecord, check_single, sweep_theorem, write_records
 from .tower import TowerCtx, TowerElem, build_tower, proof_substitution, valid_us
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "OracleReport",
     "is_bijection",
     "multivar_bijection",
-    "SweepPlan",
     "SweepRecord",
     "check_single",
     "sweep_theorem",

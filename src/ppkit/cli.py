@@ -79,14 +79,13 @@ def build_parser() -> _Parser:
     sw = sub.add_parser("sweep", help="exhaustive (delta, gamma) sweep")
     _add_field_args(sw)
     _add_theorem_args(sw)
-    sw.add_argument("--plan", default=None, help="JSON plan file; flags override it")
     sw.add_argument(
         "--gamma-domain",
         choices=["stated", "full"],
-        default=None,
+        default="stated",
         help="restrict gamma to the theorem's hypothesis (default) or probe all of F_{q^2}",
     )
-    sw.add_argument("--workers", type=int, default=None, help="processes (default 1)")
+    sw.add_argument("--workers", type=int, default=1, help="processes (default 1)")
     sw.add_argument("--out", default=None, help="output path (default stdout)")
     sw.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
 
@@ -144,16 +143,13 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    probe = None if args.gamma_domain is None else args.gamma_domain == "full"
-    plan = sweep_mod.SweepPlan.from_file(
-        args.plan,
-        tid=args.theorem, p=args.p, m=args.m, u=args.u, i=args.i, d=args.d,
-        probe_hypotheses=probe,
+    records = sweep_mod.sweep_theorem(
+        args.theorem, args.p, args.m, u=args.u, i=args.i, d=args.d,
+        probe_hypotheses=args.gamma_domain == "full",
         workers=args.workers,
     )
-    records = sweep_mod.run_plan(plan)
     if not records:
-        raise PPKitError(f"theorem {plan.tid} over F_{plan.p}^{plan.m} yields no records")
+        raise PPKitError(f"theorem {args.theorem} over F_{args.p}^{args.m} yields no records")
     try:
         sweep_mod.write_records(records, args.out or sys.stdout, args.format)
     except OSError as exc:

@@ -91,15 +91,6 @@ def quintic_norm_pp(ctx: FieldCtx, A: int, B: int) -> bool:
     return False
 
 
-# theorems whose criterion reduces to "the z-component polynomial permutes
-# F_q"; for these the prediction is decided by the normalized cubic/quintic
-# tests (exact at every q), while the stated cases provide the label
-_EXACT_VIA_G2 = {
-    "3.6", "3.7", "3.8", "3.9", "3.10", "3.11", "3.12",
-    "3.14", "3.15", "3.16", "3.17", "3.18",
-}
-
-
 def _z_component_permutes(
     tid: str, tower: TowerCtx, delta: int, gamma: int, i: int | None
 ) -> bool:
@@ -132,14 +123,19 @@ def predict(
     than an error, so probe sweeps can explore beyond the statement.  At very
     small q the stated case lists can miss permutations created by exponent
     folding; those theorems are decided by the exact z-component test and the
-    verdict carries a "folded" note when the case list disagrees.
+    verdict carries a "folded" note when the case list disagrees.  A delta or
+    gamma that is not an encoding in ctx, or a nonzero delta for the trace
+    form 4.1, raises InvalidParam.
     """
     info = theorem_info(tid)
-    info.check(ctx, i, d)
+    info.check(ctx, i, d, delta=delta, gamma=gamma)
     if info.needs_d:
         return _predict_41(ctx, gamma, d)
     v = _statement_predict(tid, info, ctx, delta, gamma, i)
-    if tid in _EXACT_VIA_G2 and v.notes is None:
+    # with gamma in F_q* and no i, the criterion reduces to "the z-component
+    # polynomial permutes F_q"; the normalized cubic/quintic tests decide that
+    # exactly at every q, while the stated cases provide the label
+    if info.gamma_domain == "Fq_star" and not info.needs_i and v.notes is None:
         exact = _z_component_permutes(tid, ctx, delta, gamma, i)
         if exact != v.predicted:
             if exact:
@@ -408,9 +404,12 @@ def _predict_41(ctx: FieldCtx, gamma: int, d: int) -> Verdict:
 
 
 def subfield_elements(ctx: FieldCtx, q: int) -> list[int]:
-    """Encodings of the subfield of order q inside ctx."""
+    """Encodings of the subfield of order q inside ctx, in increasing order:
+    0 and the subgroup of order q - 1, read off the log table."""
     _check_subfield(ctx, q)
-    return [x for x in range(ctx.q) if ctx.pow(x, q) == x]
+    n = ctx.order
+    exp = ctx.tables()[0]
+    return sorted([0] + exp[0 : n - 1 : (n - 1) // (q - 1)].tolist())
 
 
 def reduce_trace_composed(g_coeffs, field: FieldCtx, n: int) -> list[int]:
@@ -442,7 +441,7 @@ def h_permutes_subfield(field: FieldCtx, q: int, h_coeffs) -> bool:
 def t319_subfield_h(tower: TowerCtx, delta: int, c: int) -> tuple[int, int, int]:
     """Coefficients (h0, h1, h2) of h(x) = h2 x^2 + h1 x + h0 over F_q with
     Tr(f(x)) = h(Tr(x)) for f = (x^q + x + delta)^{2q+1} + c*x, gamma = c in F_q."""
-    theorem_info("3.19").check(tower)
+    theorem_info("3.19").check(tower, delta=delta, gamma=c)
     if not 0 <= c < tower.q:
         raise GammaNotInSubfield("gamma must be a base-field encoding")
     B = tower.base

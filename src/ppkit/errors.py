@@ -78,7 +78,7 @@ class SingularMatrix(PPKitError):
 
 
 class InvalidConfig(PPKitError):
-    """A plan file or an environment setting is malformed."""
+    """The PPKIT_MAX_Q environment variable is malformed."""
 
 
 class LeftBaseField(PPKitError):

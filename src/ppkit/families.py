@@ -163,8 +163,9 @@ class TheoremInfo:
             raise MissingParam(f"theorem {self.tid} requires parameter i")
         return tuple(("ppow", i) if t[0] == "ppow" else t for t in self.terms)
 
-    def check(self, ctx, i=None, d=None, u=None) -> None:
-        """Raise unless ctx is this theorem's field and it takes each i, d, u given.
+    def check(self, ctx, i=None, d=None, u=None, delta=None, gamma=None) -> None:
+        """Raise unless ctx is this theorem's field and it takes each i, d, u given,
+        and each delta, gamma given is an encoding in ctx (delta 0 for the trace form).
 
         ctx None checks the parameters alone.  A missing i is raised where i is
         read, because a sweep runs every i in [1, m) when none is given.
@@ -186,6 +187,11 @@ class TheoremInfo:
             raise WrongCharacteristic(f"theorem {self.tid} needs a tower F_{{q^2}}, q {self.char}")
         elif d is not None:
             raise InvalidParam(f"theorem {self.tid} takes no d; got d={d}")
+        if self.needs_d and delta:
+            raise InvalidParam(f"theorem {self.tid} has no delta; got delta={delta}")
+        for enc in (delta, gamma):
+            if ctx is not None and enc is not None and not 0 <= enc < ctx.order:
+                raise InvalidParam(f"encoding {enc} out of [0, {ctx.order})")
 
 
 THEOREMS: dict[str, TheoremInfo] = {
@@ -222,14 +228,15 @@ def theorem_info(tid: str) -> TheoremInfo:
         raise UnknownTheorem(f"no theorem {tid!r}") from None
 
 
-def theorem_context(tid: str, p: int, m: int, u=None, i=None, d=None):
-    """The theorem's field, checked: F_{q^d} for 4.1, else the tower F_{q^2}."""
+def theorem_context(tid: str, p: int, m: int, u=None, i=None, d=None, delta=None, gamma=None):
+    """The theorem's field, checked with the parameters given: F_{q^d} for 4.1,
+    else the tower F_{q^2}."""
     info = theorem_info(tid)
     if info.needs_d:  # F_{p^m} if d is missing or below 1, which the check refuses
         ctx = build_field(p, m * d if d is not None and d > 0 else m)
     else:
         ctx = build_tower(build_field(p, m), u=u)
-    info.check(ctx, i, d, u)
+    info.check(ctx, i, d, u, delta, gamma)
     return ctx
 
 

@@ -225,9 +225,6 @@ class ArithCtx:
             raise InvalidParam(f"encoding {enc} out of [0, {self.order})")
         return self.elem_type(self, enc)
 
-    def elements(self):
-        return (self.elem_type(self, e) for e in range(self.order))
-
     def scalar(self, n: int) -> int:
         """Embedding of the integer n (image of n * 1)."""
         return n % self.p

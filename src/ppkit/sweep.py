@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import criteria
-from .errors import InvalidConfig, InvalidParam
+from .errors import InvalidParam
 from .families import family_for_theorem, instantiate_exponent, theorem_context, theorem_info
 from .gf import subfield_order
 from .oracle import images_permute
@@ -44,39 +44,6 @@ class SweepRecord:
 
     def serialize(self) -> dict:
         return dict(vars(self))
-
-
-@dataclass(frozen=True)
-class SweepPlan:
-    tid: str
-    p: int
-    m: int
-    u: Optional[int] = None
-    i: Optional[int] = None
-    d: Optional[int] = None
-    probe_hypotheses: bool = False
-    workers: int = 1
-
-    @classmethod
-    def from_file(cls, path: Optional[str], **overrides) -> "SweepPlan":
-        """Plan from a JSON object file, if any; overrides that are not None win."""
-        data = {}
-        if path is not None:
-            with open(path) as fh:
-                try:
-                    data = json.load(fh)
-                except json.JSONDecodeError as exc:
-                    raise InvalidConfig(f"plan {path}: malformed JSON: {exc}") from None
-            if not isinstance(data, dict):
-                raise InvalidConfig(f"plan {path}: expected a JSON object")
-            unknown = sorted(set(data) - set(cls.__dataclass_fields__))
-            if unknown:
-                raise InvalidConfig(f"plan {path}: unknown keys {unknown}")
-        data.update((k, v) for k, v in overrides.items() if v is not None)
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise InvalidConfig(f"plan {path}: {exc}") from None
 
 
 def _tower_rows(tid: str, tower: TowerCtx, deltas, i: Optional[int]):
@@ -181,10 +148,6 @@ def sweep_theorem(
         return [r for chunk in pool.map(_job, jobs) for r in chunk]
 
 
-def run_plan(plan: SweepPlan) -> list[SweepRecord]:
-    return sweep_theorem(**vars(plan))
-
-
 def disagreements(records: list[SweepRecord]) -> list[SweepRecord]:
     """Records where prediction and oracle differ, hypothesis violations excluded."""
     exempt = criteria.HYPOTHESIS_VIOLATED
@@ -228,10 +191,6 @@ def check_single(
     d: Optional[int] = None,
 ) -> SweepRecord:
     """The record of one (delta, gamma), computed by the sweep's own engine."""
-    ctx = theorem_context(tid, p, m, u, i, d)
-    if theorem_info(tid).needs_d and delta != 0:
-        raise InvalidParam(f"theorem {tid} has no delta; got delta={delta}")
-    ctx.elem(delta)  # both must be encodings in the theorem's field
-    ctx.elem(gamma)
+    ctx = theorem_context(tid, p, m, u, i, d, delta, gamma)
     [record] = _job((tid, p, m, u, i, d, (delta,), (gamma,)), ctx)
     return record

@@ -113,16 +113,8 @@ class TowerCtx(ArithCtx):
 
     # -- vector arithmetic -----------------------------------------------------
 
-    def tables(self):
-        """ArithCtx.tables after the base field's tables, so that the log walk
-        runs on the base's table-backed mul.  The tower's own scalar mul never
-        reads these tables, which keeps it an independent check of them.
-        """
-        if self._tables is None:
-            self.base.tables()
-        return super().tables()
-
     # bound in this class too, so per-class instrumentation sees tower calls
+    tables = ArithCtx.tables
     pow_vec = ArithCtx.pow_vec
 
     def __repr__(self):
@@ -131,7 +123,11 @@ class TowerCtx(ArithCtx):
 
 def build_tower(base: FieldCtx, u: int | None = None) -> TowerCtx:
     """Canonical F_{q^2} over base; u may override the canonical special element.
-    One TowerCtx per base object and resolved u, so its tables are built once."""
+    One TowerCtx per base object and resolved u, so its tables are built once.
+    The base field's O(q) tables are built first, so that the tower's scalar
+    ops run on the base's table-backed mul; they never read the tower's own
+    tables, which keeps them an independent check of those."""
+    base.tables()
     kind = "even" if base.p == 2 else "odd"
     if u is None:
         want = "abs_trace_one" if kind == "even" else "non_square"

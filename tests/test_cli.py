@@ -4,7 +4,6 @@ import sys
 
 import pytest
 
-from ppkit import sweep as sweep_mod
 from ppkit.cli import main
 
 
@@ -46,7 +45,7 @@ def test_sweep_stdout_and_exit(capsys, tmp_path):
     out_file = tmp_path / "s.jsonl"
     code, out, err = run_cli(
         capsys, "sweep", "--p", "3", "--m", "1", "--theorem", "3.14",
-        "--out", str(out_file),
+        "--gamma-domain", "stated", "--workers", "1", "--out", str(out_file),
     )
     assert code == 0
     summary = json.loads(err)
@@ -106,7 +105,8 @@ def test_usage_error_exit_code():
 
 @pytest.mark.parametrize(
     "flags",
-    ["--delta 5 --gamma 2", "--delta 5", "--trdelta 1", "--probe-hypotheses", "--gamma full"],
+    ["--delta 5 --gamma 2", "--delta 5", "--trdelta 1", "--probe-hypotheses", "--gamma full",
+     "--plan plan.json"],
 )
 def test_sweep_rejects_point_flags(capsys, flags):
     argv = ["sweep", "--p", "3", "--m", "1", "--theorem", "3.14", *flags.split()]
@@ -168,44 +168,6 @@ def test_sweep_deterministic_across_processes(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "text",
-    [
-        '{"tid": "3.14", "p": 3, "m": 1, "wokers": 2}',
-        '{"tid": "3.14", "p": 3,',
-        "[1, 2]",
-        '{"tid": "3.14", "p": 3, "m": 1, "workers": -3}',
-    ],
-    ids=["unknown-key", "malformed-json", "not-an-object", "workers-below-1"],
-)
-def test_sweep_rejects_bad_plan(capsys, tmp_path, text):
-    plan = tmp_path / "plan.json"
-    plan.write_text(text)
-    code, out, err = run_cli(
-        capsys, "sweep", "--p", "3", "--m", "1", "--theorem", "3.14",
-        "--plan", str(plan),
-    )
-    assert code == 65 and out == ""
-    assert err.startswith("ppkit: ") and err.count("\n") == 1
-
-
-def test_sweep_flags_override_the_plan(capsys, tmp_path, monkeypatch):
-    plan = tmp_path / "plan.json"
-    plan.write_text(json.dumps(
-        {"tid": "3.14", "p": 3, "m": 1, "probe_hypotheses": True, "workers": 2}
-    ))
-    seen = []
-    run_plan = sweep_mod.run_plan
-    monkeypatch.setattr(sweep_mod, "run_plan", lambda plan: seen.append(plan) or run_plan(plan))
-    code, out, err = run_cli(
-        capsys, "sweep", "--p", "3", "--m", "1", "--theorem", "3.14",
-        "--plan", str(plan), "--gamma-domain", "stated", "--workers", "1",
-    )
-    assert code == 0
-    assert seen[0].probe_hypotheses is False and seen[0].workers == 1
-    assert json.loads(err)["records"] == 18 == len(out.strip().split("\n"))
-
-
-@pytest.mark.parametrize(
     "argv",
     [
         "check --p 3 --m 1 --theorem 3.14 --delta 99 --gamma 1",
@@ -244,17 +206,6 @@ def test_bad_point_parameters_exit_65(capsys, argv):
     code, out, err = run_cli(capsys, *argv.split())
     assert code == 65 and out == ""
     assert err.startswith("ppkit: ") and err.count("\n") == 1
-
-
-def test_sweep_plan_without_tid_takes_the_flag(capsys, tmp_path):
-    plan = tmp_path / "plan.json"
-    plan.write_text(json.dumps({"p": 3, "m": 1}))
-    code, out, err = run_cli(
-        capsys, "sweep", "--p", "3", "--m", "1", "--theorem", "3.14",
-        "--plan", str(plan),
-    )
-    assert code == 0
-    assert json.loads(err)["records"] == 18 == len(out.strip().split("\n"))
 
 
 @pytest.mark.parametrize(

@@ -127,9 +127,11 @@ def test_predict_41():
 
 
 def test_subfield_elements():
-    F = build_field(2, 4)
-    S = subfield_elements(F, 4)
-    assert len(S) == 4 and 0 in S and 1 in S
+    for p, m, sub in [(2, 4, 4), (2, 4, 2), (2, 6, 8), (2, 6, 64), (3, 4, 9), (5, 2, 5)]:
+        F = build_field(p, m)
+        S = subfield_elements(F, sub)
+        assert len(S) == sub and 0 in S and 1 in S
+        assert S == [x for x in range(F.q) if F.pow(x, sub) == x]  # the brute-force scan
 
 
 F9 = build_field(3, 2)

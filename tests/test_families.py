@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ppkit.criteria import predict
+from ppkit.criteria import predict, t319_subfield_h
 from ppkit.errors import (
     ExponentOutOfRange,
     InvalidParam,
@@ -165,6 +165,8 @@ def test_serialize_round_trip():
 
 T4 = build_tower(build_field(2, 2))
 T3 = build_tower(build_field(3, 1))
+T8 = build_tower(build_field(2, 3))
+T5 = build_tower(build_field(5, 1))
 
 
 @pytest.mark.parametrize(
@@ -176,8 +178,18 @@ T3 = build_tower(build_field(3, 1))
         (lambda: predict("4.1", build_field(2, 2), 0, 1, d=2), InvalidParam),
         (lambda: predict("3.14", T3, 0, 1, i=7), InvalidParam),
         (lambda: check_single("3.14", 3, 1, 0, 1, d=5), InvalidParam),
+        (lambda: predict("3.4", T5, 0, 25), InvalidParam),
+        (lambda: predict("3.1", T5, 999, 1), InvalidParam),
+        (lambda: predict("3.13", T5, 999, 1, i=1), InvalidParam),
+        (lambda: predict("3.19", T8, 64, 1), InvalidParam),
+        (lambda: predict("4.1", build_field(2, 2), 5, 1, d=1), InvalidParam),
+        (lambda: predict("4.1", build_field(2, 2), 0, 4, d=1), InvalidParam),
+        (lambda: t319_subfield_h(T8, 64, 1), InvalidParam),
     ],
-    ids=["parity-before-gamma", "flat-field", "closed-form-parity", "even-d", "foreign-i", "foreign-d"],
+    ids=["parity-before-gamma", "flat-field", "closed-form-parity", "even-d", "foreign-i", "foreign-d",
+         "gamma-outside-field", "delta-outside-field", "delta-outside-field-313",
+         "delta-outside-field-319", "delta-on-trace-form", "gamma-outside-flat-field",
+         "t319-delta-outside-field"],
 )
 def test_theorem_check_raises_one_class_per_fault(call, fault):
     with pytest.raises(fault):

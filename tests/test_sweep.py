@@ -8,16 +8,14 @@ import random
 import pytest
 
 from ppkit.criteria import predict
-from ppkit.errors import InvalidConfig, MissingParam, WrongCharacteristic
+from ppkit.errors import MissingParam, WrongCharacteristic
 from ppkit.families import eval_family, family_for_theorem
 from ppkit.gf import build_field
 from ppkit.oracle import is_bijection
 from ppkit.sweep import (
-    SweepPlan,
     SweepRecord,
     check_single,
     disagreements,
-    run_plan,
     summarize,
     sweep_theorem,
     write_records,
@@ -97,19 +95,6 @@ def test_write_to_path(tmp_path):
     out = tmp_path / "recs.jsonl"
     write_records(recs, str(out), "jsonl")
     assert len(out.read_text().strip().split("\n")) == 2
-
-
-def test_plan_from_file_with_overrides(tmp_path):
-    plan_file = tmp_path / "plan.json"
-    plan_file.write_text(json.dumps({"tid": "3.14", "p": 3, "m": 1, "workers": 1}))
-    plan = SweepPlan.from_file(str(plan_file))
-    assert plan == SweepPlan(tid="3.14", p=3, m=1)
-    plan = SweepPlan.from_file(str(plan_file), p=5)
-    assert plan.p == 5 and plan.tid == "3.14"
-    assert disagreements(run_plan(plan)) == []
-    plan_file.write_text(json.dumps({"p": 3}))
-    with pytest.raises(InvalidConfig):
-        SweepPlan.from_file(str(plan_file), m=1)  # no tid from either side
 
 
 def test_check_single():

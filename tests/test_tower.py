@@ -74,7 +74,9 @@ def test_even_trace_is_alpha_coordinate():
 
 
 def _table_ctx(kind, p, m):
-    # a fresh field: the scalar ops of a table-free context read no tables
+    # a fresh field: its scalar ops read no tables, so the flat cases check the
+    # tables against the polynomial path; build_tower gives the base its tables,
+    # and a tower's scalar ops never read the tower's own
     base = FieldCtx(p, m, _token=_CTX_TOKEN)
     return base if kind == "flat" else build_tower(base)
 
