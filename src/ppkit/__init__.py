@@ -19,7 +19,7 @@ from .families import (
     family_for_theorem,
     theorem_info,
 )
-from .gf import FieldCtx, FieldElem, build_field, frobenius, trace_and_norm
+from .gf import FieldCtx, FieldElem, build_field
 from .oracle import OracleReport, is_bijection, multivar_bijection
 from .sweep import SweepRecord, check_single, sweep_theorem, write_records
 from .tower import TowerCtx, TowerElem, build_tower, proof_substitution, valid_us
@@ -49,8 +49,6 @@ __all__ = [
     "FieldCtx",
     "FieldElem",
     "build_field",
-    "frobenius",
-    "trace_and_norm",
     "OracleReport",
     "is_bijection",
     "multivar_bijection",

@@ -105,10 +105,11 @@ def _resolve_delta(ctx, args) -> int:
     if args.trdelta is not None:
         if not isinstance(ctx, TowerCtx):  # 4.1's flat field has no delta and no Tr_q^{q^2}
             raise InvalidParam(f"theorem {args.theorem} has no delta to pick by trace")
-        for delta in range(ctx.order):
-            if ctx.trace(delta) == args.trdelta:
-                return delta
-        raise PPKitError(f"no delta has trace {args.trdelta}")
+        t = args.trdelta
+        if not 0 <= t < ctx.q:
+            raise PPKitError(f"no delta has trace {t}")
+        # Tr(c0 + c1*alpha) is 2*c0 (odd) or c1 (even); the least delta has the other coordinate 0
+        return ctx.base.div(t, ctx.base.scalar(2)) if ctx.kind == "odd" else ctx.q * t
     return 0
 
 

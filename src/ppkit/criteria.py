@@ -3,7 +3,9 @@ cubic and quintic permutation tests they rely on."""
 
 from __future__ import annotations
 
+import contextlib
 import functools
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Optional
 
@@ -108,6 +110,25 @@ def _z_component_permutes(
     return e1 != 0
 
 
+# (i, class representative, gamma) -> Verdict, while a sweep runs; see one_verdict_per_class
+_verdicts: ContextVar[dict | None] = ContextVar("ppkit_verdicts", default=None)
+
+
+@contextlib.contextmanager
+def one_verdict_per_class():
+    """Within the block, predict computes each (i, trace class of delta, gamma)
+    once and returns that verdict for every delta of the class.
+
+    The sweep engine opens it around one theorem on one field; the table is
+    dropped on the way out, so no verdict outlives the sweep.
+    """
+    token = _verdicts.set({})
+    try:
+        yield
+    finally:
+        _verdicts.reset(token)
+
+
 def predict(
     tid: str,
     ctx,
@@ -125,18 +146,37 @@ def predict(
     folding; those theorems are decided by the exact z-component test and the
     verdict carries a "folded" note when the case list disagrees.  A delta or
     gamma that is not an encoding in ctx, or a nonzero delta for the trace
-    form 4.1, raises InvalidParam.
+    form 4.1, raises InvalidParam.  Inside one_verdict_per_class, each
+    (i, trace class of delta, gamma) is computed once.
     """
     info = theorem_info(tid)
     info.check(ctx, i, d, delta=delta, gamma=gamma)
     if info.needs_d:
         return _predict_41(ctx, gamma, d)
-    v = _statement_predict(tid, info, ctx, delta, gamma, i)
+    # Every criterion reads delta only through Tr(delta): x -> x + w moves delta
+    # by w^q -+ w, which spans ker Tr.  With delta = c0 + c1*alpha the trace is
+    # 2*c0 (odd) or c1 (even), so the least delta of that trace stands in for it.
+    rep = delta % ctx.q if ctx.kind == "odd" else delta - delta % ctx.q
+    table = _verdicts.get()
+    if table is None:
+        return _class_verdict(tid, info, ctx, rep, gamma, i)
+    key = (i, rep, gamma)
+    v = table.get(key)
+    if v is None:
+        v = table[key] = _class_verdict(tid, info, ctx, rep, gamma, i)
+    return v
+
+
+def _class_verdict(
+    tid: str, info, tower: TowerCtx, delta: int, gamma: int, i: int | None
+) -> Verdict:
+    """The criterion at (delta, gamma) on the tower, computed without the table."""
+    v = _statement_predict(tid, info, tower, delta, gamma, i)
     # with gamma in F_q* and no i, the criterion reduces to "the z-component
     # polynomial permutes F_q"; the normalized cubic/quintic tests decide that
     # exactly at every q, while the stated cases provide the label
     if info.gamma_domain == "Fq_star" and not info.needs_i and v.notes is None:
-        exact = _z_component_permutes(tid, ctx, delta, gamma, i)
+        exact = _z_component_permutes(tid, tower, delta, gamma, i)
         if exact != v.predicted:
             if exact:
                 return Verdict(True, "folded", "permutes only after exponent folding")

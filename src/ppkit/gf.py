@@ -432,17 +432,6 @@ def _check_subfield(ctx: FieldCtx, sub: int) -> int:
     return j
 
 
-def frobenius(ctx: FieldCtx, x: FieldElem, base: int, k: int) -> FieldElem:
-    """x^(base^k), the k-fold Frobenius relative to the subfield of order base."""
-    _check_subfield(ctx, base)
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    out = x.enc
-    for _ in range(k):
-        out = ctx.pow(out, base)
-    return FieldElem(ctx, out)
-
-
 def trace_sum(ctx, x: int, q: int, n: int) -> int:
     """x + x^q + ... + x^(q^(n-1)) on encodings: Tr down to F_q of x in F_{q^n}."""
     tr = 0
@@ -450,22 +439,6 @@ def trace_sum(ctx, x: int, q: int, n: int) -> int:
         tr = ctx.add(tr, x)
         x = ctx.pow(x, q)
     return tr
-
-
-def trace_and_norm(ctx: FieldCtx, x: FieldElem, sub: int) -> tuple[FieldElem, FieldElem]:
-    """Trace and norm of x down to the subfield of order sub."""
-    j = _check_subfield(ctx, sub)
-    tr = trace_sum(ctx, x.enc, sub, ctx.m // j)
-    if x.enc == 0:
-        nm = 0
-    else:
-        nm = ctx.pow(x.enc, (ctx.q - 1) // (sub - 1)) if sub > 1 else x.enc
-    return FieldElem(ctx, tr), FieldElem(ctx, nm)
-
-
-def in_subfield(ctx: FieldCtx, x: FieldElem, sub: int) -> bool:
-    _check_subfield(ctx, sub)
-    return ctx.pow(x.enc, sub) == x.enc
 
 
 def power_class(ctx: FieldCtx, x: int, k: int) -> bool:
@@ -477,10 +450,6 @@ def power_class(ctx: FieldCtx, x: int, k: int) -> bool:
         return True
     n = ctx.order
     return ctx.pow(x, (n - 1) // math.gcd(k, n - 1)) == 1
-
-
-def is_square(ctx: FieldCtx, x: FieldElem) -> bool:
-    return power_class(ctx, x.enc, 2)
 
 
 def find_special(ctx: FieldCtx, kind: str) -> FieldElem:

@@ -78,20 +78,23 @@ def _records(ctx, head: tuple, rows, gammas) -> list[SweepRecord]:
     """The records of each row (delta, acc, lin) at each gamma; f = acc + gamma * lin.
 
     head is the records' (tid, p, m, u, i, d).  No other code makes a SweepRecord.
+    The oracle runs on every record; predict computes one verdict per
+    (i, trace class of delta, gamma) and returns it for the rest of the class.
     """
     tid, _, _, _, i, d = head
     ctx.tables()
     records = []
-    for delta, acc, lin in rows:
-        for gamma in gammas:
-            pp = images_permute(ctx.add_vec(acc, ctx.mul_vec(gamma, lin)), ctx.order)
-            v = criteria.predict(tid, ctx, delta, gamma, i=i, d=d)
-            records.append(
-                SweepRecord(
-                    *head, delta, gamma, v.predicted, v.matched_case, pp,
-                    v.predicted == pp, v.notes,
+    with criteria.one_verdict_per_class():
+        for delta, acc, lin in rows:
+            for gamma in gammas:
+                pp = images_permute(ctx.add_vec(acc, ctx.mul_vec(gamma, lin)), ctx.order)
+                v = criteria.predict(tid, ctx, delta, gamma, i=i, d=d)
+                records.append(
+                    SweepRecord(
+                        *head, delta, gamma, v.predicted, v.matched_case, pp,
+                        v.predicted == pp, v.notes,
+                    )
                 )
-            )
     return records
 
 

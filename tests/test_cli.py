@@ -2,9 +2,14 @@ import json
 import subprocess
 import sys
 
+import argparse
+
 import pytest
 
-from ppkit.cli import main
+from ppkit.cli import _resolve_delta, main
+from ppkit.errors import PPKitError
+from ppkit.gf import build_field
+from ppkit.tower import build_tower
 
 
 def run_cli(capsys, *argv):
@@ -39,6 +44,22 @@ def test_check_by_trace(capsys):
     assert code == 0
     rec = json.loads(out)
     assert rec["matched_case"] == "3.6(ii)"
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (3, 3), (2, 3), (2, 4)])
+def test_trdelta_picks_the_least_delta_of_its_trace(p, m):
+    tower = build_tower(build_field(p, m))
+    least = {}
+    for delta in range(tower.order):
+        least.setdefault(tower.trace(delta), delta)
+    assert sorted(least) == list(range(tower.q))
+    for t in [-1, *range(tower.q), tower.q]:
+        args = argparse.Namespace(delta=None, trdelta=t, theorem="3.6")
+        if t in least:
+            assert _resolve_delta(tower, args) == least[t]
+        else:
+            with pytest.raises(PPKitError, match=f"^no delta has trace {t}$"):
+                _resolve_delta(tower, args)
 
 
 def test_sweep_stdout_and_exit(capsys, tmp_path):

@@ -7,9 +7,10 @@ import random
 
 import pytest
 
+from ppkit import criteria, sweep
 from ppkit.criteria import predict
 from ppkit.errors import MissingParam, WrongCharacteristic
-from ppkit.families import eval_family, family_for_theorem
+from ppkit.families import THEOREMS, eval_family, family_for_theorem, theorem_context, theorem_info
 from ppkit.gf import build_field
 from ppkit.oracle import is_bijection
 from ppkit.sweep import (
@@ -204,3 +205,82 @@ def test_records_are_pinned():
         write_records(sweep_theorem(*args, **kw), buf, "jsonl")
         got = hashlib.sha256(buf.getvalue().encode()).hexdigest()
         assert got == want, (args, kw)
+
+
+ODD_TIDS = [t for t, info in THEOREMS.items() if info.char == "odd"]
+
+# every theorem over F_9 at its stated gammas, the probe domain over F_3 and
+# F_5 (3.13 has no i in [1, m) there), and 3.19 over F_4 and F_8
+CLASS_SWEEPS = (
+    [((tid, 3, 2), {}) for tid in ODD_TIDS]
+    + [((tid, p, 1), {"probe_hypotheses": True}) for p in (3, 5) for tid in ODD_TIDS
+       if tid != "3.13"]
+    + [(("3.19", 2, m), {}) for m in (2, 3)]
+)
+
+
+def test_verdicts_and_oracle_are_invariant_on_trace_classes():
+    for args, kw in CLASS_SWEEPS:
+        tid = args[0]
+        info = theorem_info(tid)
+        tower = theorem_context(*args)
+        recs = sweep_theorem(*args, **kw)
+        assert recs, (args, kw)
+        oracle = {}
+        for r in recs:
+            # the predicate body at the record's own delta, not at its class's
+            v = criteria._class_verdict(tid, info, tower, r.delta, r.gamma, r.i)
+            assert (v.predicted, v.matched_case, v.notes) == (
+                r.predicted, r.matched_case, r.note), (args, kw, r)
+            key = (r.i, tower.trace(r.delta), r.gamma)
+            assert oracle.setdefault(key, r.oracle) == r.oracle, (args, kw, r)
+
+
+@pytest.fixture
+def computed(monkeypatch):
+    """Every (delta, gamma) at which predict computes a verdict, in call order."""
+    calls = []
+    body = criteria._class_verdict
+
+    def counted(tid, info, tower, delta, gamma, i):
+        calls.append((delta, gamma))
+        return body(tid, info, tower, delta, gamma, i)
+
+    monkeypatch.setattr(criteria, "_class_verdict", counted)
+    return calls
+
+
+@pytest.mark.parametrize("args, classes, gammas", [(("3.6", 3, 2), 9, 8), (("3.19", 2, 2), 4, 15)])
+def test_a_sweep_computes_one_verdict_per_class_and_gamma(computed, args, classes, gammas):
+    first = sweep_theorem(*args)
+    assert len(computed) == classes * gammas < len(first)
+    computed.clear()
+    assert sweep_theorem(*args) == first
+    assert len(computed) == classes * gammas  # nothing carried over from the first sweep
+    assert criteria._verdicts.get() is None
+
+
+def test_a_failed_sweep_leaves_no_table(computed, monkeypatch):
+    calls = []
+
+    def failing(images, size):
+        calls.append(size)
+        if len(calls) == 30:
+            raise RuntimeError("oracle down")
+        return True
+
+    monkeypatch.setattr(sweep, "images_permute", failing)
+    with pytest.raises(RuntimeError, match="oracle down"):
+        sweep_theorem("3.6", 3, 2)
+    assert criteria._verdicts.get() is None
+    computed.clear()
+    tower = theorem_context("3.6", 3, 2)
+    predict("3.6", tower, 14, 1)
+    assert computed == [(5, 1)]  # 14 = 5 + 1*alpha, whose class starts at 5
+
+
+def test_predict_outside_a_sweep_computes_every_call(computed):
+    tower = build_tower(build_field(3, 2))
+    for _ in range(3):
+        predict("3.6", tower, 10, 2)
+    assert computed == [(1, 2)] * 3
