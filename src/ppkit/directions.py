@@ -53,12 +53,8 @@ def permuting_translate_set(f: Callable[[int], int], ctx) -> set[int]:
     size = ctx.order
     if size > MAX_DIRECTION_FIELD:
         raise DomainTooLarge(f"|F| = {size} exceeds {MAX_DIRECTION_FIELD}")
-    images = np.array([f(x) for x in range(size)], dtype=np.int64)
-    xs = np.arange(size)
-    return {
-        g for g in range(size)
-        if images_permute(ctx.add_vec(images, ctx.mul_vec(g, xs)), size)
-    }
+    at = ctx.line_vec(np.array([f(x) for x in range(size)], dtype=np.int64), np.arange(size))
+    return {g for g in range(size) if images_permute(at(g), size)}
 
 
 @dataclass(frozen=True)

@@ -260,15 +260,16 @@ class ArithCtx:
     # -- log/antilog vectors and the vector arithmetic ------------------------
 
     def tables(self):
-        """(exp, log), plus (spread, unspread) for odd p; int64 vectors.
+        """(exp, log), plus (spread, unspread, spread[exp]) for odd p; int64 vectors.
 
         exp lists g^k for the least primitive g (walked with the scalar mul)
         twice over, then a zero tail; log inverts it and log[0] points into
         the tail, so exp[log x + log y] = x * y for all x, y.  spread writes
         the p-adic digits of an encoding (tower encodings included) in base
         2p - 1, where two spreads add without carry, and unspread, of length
-        (2p - 1)^k for order p^k, reduces each digit mod p.  Once built, the
-        scalar inv and FieldCtx.mul read exp and log.
+        (2p - 1)^k for order p^k, reduces each digit mod p.  spread[exp] lets
+        line_vec spread a product with the same gather that forms it.  Once
+        built, the scalar inv and FieldCtx.mul read exp and log.
         """
         if self._tables is None:
             n, p = self.order, self.p
@@ -293,8 +294,9 @@ class ArithCtx:
                     spread = (digits[:p, None] * wide + spread).ravel()
                     unspread = (digits[:, None] % p * place + unspread).ravel()
                     place, wide = place * p, wide * (2 * p - 1)
-                self._tables += (spread, unspread)
                 self._spread, self._unspread = spread, unspread
+                self._spread_exp = spread[self._exp]
+                self._tables += (spread, unspread, self._spread_exp)
             self._exp_list, self._log_list = self._exp.tolist(), self._log.tolist()
         return self._tables
 
@@ -311,6 +313,22 @@ class ArithCtx:
         if self._tables is None:
             self.tables()
         return self._exp[self._log[x] + self._log[y]]
+
+    def line_vec(self, acc, lin):
+        """gamma -> acc + gamma * lin elementwise, for an int encoding gamma.
+
+        The lookups that read only acc and lin are made here, once per line:
+        a point then costs exp[log lin + log gamma] XOR acc for p = 2, and
+        unspread[spread acc + spread_exp[log lin + log gamma]] for odd p.
+        """
+        if self._tables is None:
+            self.tables()
+        log_lin, log = self._log[lin], self._log_list
+        if self.p == 2:
+            exp = self._exp
+            return lambda gamma: acc ^ exp[log_lin + log[gamma]]
+        spread_acc, spread_exp, unspread = self._spread[acc], self._spread_exp, self._unspread
+        return lambda gamma: unspread[spread_acc + spread_exp[log_lin + log[gamma]]]
 
     def pow_vec(self, vec: np.ndarray, e: int) -> np.ndarray:
         """Elementwise vec**e as exp[(e * log v) mod (order - 1)]; 0**0 == 1."""

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -86,8 +88,9 @@ def _records(ctx, head: tuple, rows, gammas) -> list[SweepRecord]:
     records = []
     with criteria.one_verdict_per_class():
         for delta, acc, lin in rows:
+            at = ctx.line_vec(acc, lin)
             for gamma in gammas:
-                pp = images_permute(ctx.add_vec(acc, ctx.mul_vec(gamma, lin)), ctx.order)
+                pp = images_permute(at(gamma), ctx.order)
                 v = criteria.predict(tid, ctx, delta, gamma, i=i, d=d)
                 records.append(
                     SweepRecord(
@@ -145,9 +148,11 @@ def sweep_theorem(
         for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())
         if hi > lo
     ]
-    if workers == 1:
+    # the pool forks all its processes at once, so start no more than can run
+    procs = min(workers, len(jobs), os.cpu_count() or 1)
+    if procs <= 1:
         return [r for job in jobs for r in _job(job, ctx)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=procs) as pool:
         return [r for chunk in pool.map(_job, jobs) for r in chunk]
 
 
@@ -167,20 +172,47 @@ def summarize(records: list[SweepRecord]) -> dict:
     }
 
 
+_FIELDS = list(SweepRecord.__dataclass_fields__)
+_HEAD, _VERDICT = _FIELDS[:6], _FIELDS[8:]  # the fields before delta, after gamma
+
+
+def _csv_cells(values) -> str:
+    """One CSV row of values as the csv module writes it, without the line end."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(values)
+    return buf.getvalue()[:-2]
+
+
 def write_records(records: list[SweepRecord], out, fmt: str = "jsonl"):
-    """Write records as JSONL or CSV to a path or open stream."""
+    """Write records as JSONL or CSV to a path or open stream.
+
+    A line is the record's head (tid, p, m, u, i, d), its ints delta and
+    gamma, and its verdict (predicted, matched_case, oracle, agree, note).
+    A sweep has one head and a handful of verdicts, so each distinct head and
+    verdict is serialized once, by json.dumps or the csv writer, and the ints
+    are spliced in between: every line has the bytes of serializing the whole
+    record.
+    """
+    if fmt == "jsonl":
+        header, mid = "", ', "gamma": '
+        head = lambda h: json.dumps(dict(zip(_HEAD, h)))[:-1] + ', "delta": '
+        verdict = lambda v: ", " + json.dumps(dict(zip(_VERDICT, v)))[1:] + "\n"
+    elif fmt == "csv":
+        header, mid = _csv_cells(_FIELDS) + "\r\n", ","
+        head = lambda h: _csv_cells(h) + ","
+        verdict = lambda v: "," + _csv_cells(v) + "\r\n"
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+    heads, verdicts = {}, {}
     with contextlib.nullcontext(out) if hasattr(out, "write") else open(out, "w") as stream:
-        if fmt == "jsonl":
-            for r in records:
-                stream.write(json.dumps(r.serialize()) + "\n")
-        elif fmt == "csv":
-            fields = list(SweepRecord.__dataclass_fields__)
-            writer = csv.DictWriter(stream, fieldnames=fields)
-            writer.writeheader()
-            for r in records:
-                writer.writerow(r.serialize())
-        else:
-            raise ValueError(f"unknown format {fmt!r}")
+        write = stream.write
+        write(header)
+        for r in records:
+            h = (r.tid, r.p, r.m, r.u, r.i, r.d)
+            v = (r.predicted, r.matched_case, r.oracle, r.agree, r.note)
+            hs = heads.get(h) or heads.setdefault(h, head(h))
+            vs = verdicts.get(v) or verdicts.setdefault(v, verdict(v))
+            write(f"{hs}{r.delta}{mid}{r.gamma}{vs}")
 
 
 def check_single(

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import random
 
@@ -205,6 +206,120 @@ def test_records_are_pinned():
         write_records(sweep_theorem(*args, **kw), buf, "jsonl")
         got = hashlib.sha256(buf.getvalue().encode()).hexdigest()
         assert got == want, (args, kw)
+
+
+# sha256 of the same sweeps' CSV records, as csv.DictWriter wrote them whole
+PINNED_CSV = [
+    "5e4559b1661b94460072c0c2b6f2cbfead4586b9f0881d80f050144ae4f15a4b",
+    "a3a458b073e5d7949150f5cacc787a14b343fcf936818bc56f6102d99421ad64",
+    "d86954bc56f407fa0f8b8ab41114f9e3bd1dbf659edd32eb29c150451105325c",
+    "aa27ef67bbed3f1e8aa0d34d73b4048378a91edf2376d8034f09800aa6437fb7",
+    "41bef5f5cea33da934f61d9a2e6124f9d159c9db90092d01a7cfc3f8eec79848",
+    "a91567c4d2fe72d00435281103f48f3ae9d029a46279cf06d28860e489a2c6e8",
+    "91311a8826fb7d578e7c23eb911a20ae85ff932ddc28e93e4c19ff094ec5b7c2",
+    "feda591db8532d06230f3fac34750687b5243b6fef2d51d2108d5843700ef74f",
+    "34d1f1d1c5110dc84fe715c30b2cf22951e846b08b01bdafd1be1e4998eeff6c",
+    "d001a1462c82f6402700fa3d8b71b666f1037247ee63065af974f62feeaf0148",
+    "2f2dd1c5a6a7e11f885b8aab05eef409cbd419bbe6d494b11790ac654b5a0b37",
+]
+
+
+def test_csv_records_are_pinned():
+    assert len(PINNED_CSV) == len(PINNED)
+    for (args, kw, _), want in zip(PINNED, PINNED_CSV):
+        buf = io.StringIO()
+        write_records(sweep_theorem(*args, **kw), buf, "csv")
+        got = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+        assert got == want, (args, kw)
+
+
+def _reference_lines(records, fmt):
+    """The records serialized whole, one json.dumps or DictWriter row each."""
+    buf = io.StringIO()
+    if fmt == "jsonl":
+        for r in records:
+            buf.write(json.dumps(r.serialize()) + "\n")
+    else:
+        writer = csv.DictWriter(buf, fieldnames=list(SweepRecord.__dataclass_fields__))
+        writer.writeheader()
+        for r in records:
+            writer.writerow(r.serialize())
+    return buf.getvalue()
+
+
+AWKWARD = "a, \"quoted\"\nsecond line"
+
+
+def _made_up_records():
+    """Every head with every verdict, five times over, in a seeded mixed order."""
+    heads = [("3.6", 5, 2, 2, None, None), ("4.1", 2, 6, 0, None, 3), ("3.13", 3, 3, 2, 1, None)]
+    verdicts = [
+        (True, "case A", True, True, None),
+        (False, AWKWARD, True, False, AWKWARD),
+        (False, "", False, True, "hypothesis-violated: gamma = 0"),
+        (True, "x\r\ny", False, False, ""),
+    ]
+    recs = [
+        SweepRecord(*h, 7 * k, 10**6 + k, *v)
+        for k, (h, v) in enumerate(itertools.product(heads, verdicts * 5))
+    ]
+    random.Random(12).shuffle(recs)
+    return recs
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_write_records_equals_whole_record_serialization(fmt, tmp_path):
+    recs = _made_up_records()
+    want = _reference_lines(recs, fmt)
+    buf = io.StringIO()
+    write_records(recs, buf, fmt)
+    assert buf.getvalue() == want
+    out = tmp_path / f"recs.{fmt}"
+    write_records(recs, str(out), fmt)
+    with open(out, newline="") as f:
+        assert f.read() == want
+    buf = io.StringIO()
+    write_records([], buf, fmt)
+    assert buf.getvalue() == _reference_lines([], fmt)
+
+
+def test_bad_format_leaves_the_file_alone(tmp_path):
+    keep = tmp_path / "keep.txt"
+    keep.write_bytes(b"earlier output\n")
+    with pytest.raises(ValueError, match="xml"):
+        write_records(sweep_theorem("3.14", 3, 1)[:2], str(keep), "xml")
+    assert keep.read_bytes() == b"earlier output\n"
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor without starting a process."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize(
+    "workers, cpus, pool",
+    [(500, 4, 4), (500, 64, 9), (3, 64, 3), (500, None, None), (2, 1, None)],
+)
+def test_workers_start_no_more_processes_than_jobs_or_cpus(monkeypatch, workers, cpus, pool):
+    made = []
+
+    def recording_pool(max_workers):
+        made.append(max_workers)
+        return _InProcessPool()
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", recording_pool)
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
+    # F_9 has 9 deltas, so 500 workers make 9 jobs
+    assert sweep_theorem("3.14", 3, 1, workers=workers) == sweep_theorem("3.14", 3, 1)
+    assert made == ([] if pool is None else [pool])
 
 
 ODD_TIDS = [t for t, info in THEOREMS.items() if info.char == "odd"]

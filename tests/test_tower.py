@@ -111,6 +111,24 @@ def test_tables_match_scalar_ops(kind, p, m, rows):
             assert ctx.inv(x) == scalar.inv(x)
 
 
+@pytest.mark.parametrize(
+    "kind,p,m",
+    [("flat", 2, 3), ("flat", 3, 2), ("flat", 5, 2), ("tower", 2, 2), ("tower", 5, 1),
+     ("tower", 3, 2)],
+    ids=["F8", "F9", "F25", "F4^2", "F5^2", "F9^2"],
+)
+def test_line_vec_is_add_of_mul(kind, p, m):
+    ctx = _table_ctx(kind, p, m)
+    rng = np.random.default_rng(ctx.order)
+    acc = rng.integers(0, ctx.order, size=3 * ctx.order)
+    lin = rng.integers(0, ctx.order, size=3 * ctx.order)
+    acc[:2 * ctx.order:2] = 0  # zeros in both, in acc only, in lin only, in neither
+    lin[:ctx.order] = 0
+    at = ctx.line_vec(acc, lin)
+    for g in range(ctx.order):
+        assert at(g).tolist() == ctx.add_vec(acc, ctx.mul_vec(g, lin)).tolist(), g
+
+
 def test_pow_vec_matches_pow():
     for kind, p, m in [("tower", 3, 1), ("tower", 3, 2), ("flat", 2, 4), ("flat", 2, 9)]:
         ctx = _table_ctx(kind, p, m)
