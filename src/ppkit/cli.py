@@ -8,6 +8,7 @@ succeeded), 2 at least one disagreement, 64 usage error, 65 domain error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -65,6 +66,7 @@ def _add_point_args(p):
     p.add_argument("--gamma", type=int, default=None, help="gamma encoding")
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def build_parser() -> _Parser:
     ap = _Parser(prog="ppkit", description="permutation family toolkit")
     sub = ap.add_subparsers(dest="cmd", required=True)

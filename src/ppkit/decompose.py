@@ -9,6 +9,7 @@ numerically by evaluating f along the proof substitution and interpolating.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -166,11 +167,22 @@ def lemma31_extract(spec: FamilySpec, tower: TowerCtx) -> ComponentTable:
     return ComponentTable(B, g1, g2)
 
 
+@functools.cache
+def _vandermonde_inv(p: int, m: int) -> tuple:
+    """Inverse of the Vandermonde matrix [[x^j]] over all of F_{p^m}, rows as tuples.
+
+    It depends on the field alone, so it is inverted once per (p, m); keyed on
+    ints rather than a context, so no field is kept.
+    """
+    ctx = build_field(p, m)
+    W = [[ctx.pow(x, j) for j in range(ctx.q)] for x in range(ctx.q)]
+    return tuple(map(tuple, mat_inv(ctx, W)))
+
+
 def _interp2d(ctx: FieldCtx, V) -> dict:
     """Exact bivariate interpolation on all of F_q x F_q (reduced exponents)."""
     q = ctx.q
-    W = [[ctx.pow(x, j) for j in range(q)] for x in range(q)]
-    Winv = mat_inv(ctx, W)
+    Winv = _vandermonde_inv(ctx.p, ctx.m)
     # C = Winv . V . Winv^T
     T = [[_dot(ctx, Winv[i], [V[k][zcol] for k in range(q)]) for zcol in range(q)] for i in range(q)]
     C = [[_dot(ctx, T[i], Winv[j]) for j in range(q)] for i in range(q)]

@@ -22,6 +22,13 @@ from .tower import TowerCtx
 MAX_DIRECTION_FIELD = 2**12
 
 
+def _order(ctx) -> int:
+    """|F|; the O(|F|^2) direction set caps it at MAX_DIRECTION_FIELD."""
+    if ctx.order > MAX_DIRECTION_FIELD:
+        raise DomainTooLarge(f"|F| = {ctx.order} exceeds {MAX_DIRECTION_FIELD}")
+    return ctx.order
+
+
 def direction_set(
     f: Callable[[int], int], ctx, restrict_to_base: bool = False
 ) -> set[int]:
@@ -30,29 +37,25 @@ def direction_set(
     With restrict_to_base (tower contexts only) the denominators x - y are
     limited to the base field, giving the direction set of f along F_q lines.
     """
-    size, add, sub, mul, inv = ctx.order, ctx.add, ctx.sub, ctx.mul, ctx.inv
-    if size > MAX_DIRECTION_FIELD:
-        raise DomainTooLarge(f"|F| = {size} exceeds {MAX_DIRECTION_FIELD}")
+    size, add, neg, mul, inv = _order(ctx), ctx.add, ctx.neg, ctx.mul, ctx.inv
     diffs = range(1, size)
     if restrict_to_base:
         if not isinstance(ctx, TowerCtx):
             raise DomainTooLarge("restrict_to_base needs a tower context")
         diffs = [ctx.embed(h) for h in range(1, ctx.q)]
     images = [f(x) for x in range(size)]
+    negs = [neg(v) for v in images]
     out: set[int] = set()
-    for h in diffs:
+    for h in diffs:  # each distinct f(x + h) - f(x) is divided by h once
         hinv = inv(h)
-        for x in range(size):
-            out.add(mul(sub(images[add(x, h)], images[x]), hinv))
+        out.update(mul(d, hinv) for d in {add(images[add(x, h)], negs[x]) for x in range(size)})
     return out
 
 
 def permuting_translate_set(f: Callable[[int], int], ctx) -> set[int]:
     """All gamma for which x -> f(x) + gamma*x permutes the field, decided by
     the sweep's oracle on the vector arithmetic (direction_set stays scalar)."""
-    size = ctx.order
-    if size > MAX_DIRECTION_FIELD:
-        raise DomainTooLarge(f"|F| = {size} exceeds {MAX_DIRECTION_FIELD}")
+    size = _order(ctx)
     at = ctx.line_vec(np.array([f(x) for x in range(size)], dtype=np.int64), np.arange(size))
     return {g for g in range(size) if images_permute(at(g), size)}
 
@@ -66,10 +69,12 @@ class DirectionReport:
 
 
 def check_complementarity(f: Callable[[int], int], ctx) -> DirectionReport:
-    """Verify the direction/permuting-slope duality for f on the whole field."""
-    size = ctx.order
-    D = direction_set(f, ctx)
-    P = permuting_translate_set(f, ctx)
+    """Verify the direction/permuting-slope duality for f on the whole field,
+    evaluating f once per element for both sides."""
+    size = _order(ctx)
+    at = [f(x) for x in range(size)].__getitem__
+    D = direction_set(at, ctx)
+    P = permuting_translate_set(at, ctx)
     comp = all((m in D) != (ctx.neg(m) in P) for m in range(size))
     return DirectionReport(
         frozenset(D), frozenset(P), comp, len(D) + len(P) == size

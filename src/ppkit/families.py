@@ -284,11 +284,31 @@ class ComponentTable:
         return acc
 
     def value_tables(self):
-        q = self.base.q
-        return (
-            [[self.eval(1, y, z) for z in range(q)] for y in range(q)],
-            [[self.eval(2, y, z) for z in range(q)] for y in range(q)],
-        )
+        """[[g(y, z) for z] for y] of g1 and g2, the values eval gives."""
+        b = self.base
+        add, mul = b.add, b.mul
+        # x^k for every degree present, which can reach q or more at small q
+        top = max((k for g in (self.g1, self.g2) for key in g for k in key), default=0)
+        powers = []
+        for x in range(b.q):
+            row = [1]  # 0^0 = 1, as in pow
+            for _ in range(top):
+                row.append(mul(row[-1], x))
+            powers.append(row)
+
+        def table(coeffs):
+            rows = []
+            for py in powers:
+                row = []
+                for pz in powers:
+                    acc = 0
+                    for (dy, dz), c in coeffs.items():
+                        acc = add(acc, mul(c, mul(py[dy], pz[dz])))
+                    row.append(acc)
+                rows.append(row)
+            return rows
+
+        return table(self.g1), table(self.g2)
 
     def serialize(self) -> dict:
         return {

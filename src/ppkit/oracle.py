@@ -34,6 +34,8 @@ def is_bijection(eval_fn: Callable[[int], int], size: int) -> OracleReport:
 
 def images_permute(images: np.ndarray, size: int) -> bool:
     """Fast-path bijection test on a precomputed image vector."""
+    if len(images) != size:  # a short vector would pass bincount's minlength
+        raise ImageOutOfDomain(f"{len(images)} images for a domain of {size}")
     try:
         counts = np.bincount(images, minlength=size)
     except ValueError:  # bincount rejects negative images

@@ -6,7 +6,7 @@ import argparse
 
 import pytest
 
-from ppkit.cli import _resolve_delta, main
+from ppkit.cli import _resolve_delta, build_parser, main
 from ppkit.errors import PPKitError
 from ppkit.gf import build_field
 from ppkit.tower import build_tower
@@ -241,3 +241,28 @@ def test_check_exempts_hypothesis_violations_like_sweep(capsys, argv):
     rec = json.loads(out)
     assert not rec["agree"] and rec["note"].startswith("hypothesis-violated")
     assert code == 0
+
+
+def test_one_parser_serves_every_call(capsys):
+    assert build_parser() is build_parser()
+    argvs = [
+        "sweep --p 3 --m 1 --theorem 3.14 --gamma-domain full",
+        "sweep --p 3 --m 1 --theorem 3.14",
+        "sweep --p 3",
+        "check --p 3 --m 1 --theorem 3.14 --delta 99 --gamma 1",
+        "check --p 3 --m 1 --theorem 3.14 --delta 0 --gamma 1",
+    ]
+    got = []
+    for argv in argvs:
+        try:
+            code = main(argv.split())
+        except SystemExit as exc:
+            code = exc.code
+        got.append((code, capsys.readouterr().out))
+    fresh = [
+        subprocess.run([sys.executable, "-m", "ppkit.cli", *argv.split()], capture_output=True, text=True)
+        for argv in argvs
+    ]
+    assert got == [(proc.returncode, proc.stdout) for proc in fresh]
+    assert [code for code, _ in got] == [0, 0, 64, 65, 0]
+    assert len(got[1][1].splitlines()) == 18  # the stated domain after the full one

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from ppkit.decompose import (
     DecompositionConfig,
     _basis_matrix,
+    _vandermonde_inv,
     component_map,
     lemma31_extract,
     mat_inv,
@@ -30,6 +32,18 @@ def test_mat_inv():
     assert prod == [[1, 0], [0, 1]]
     with pytest.raises(SingularMatrix):
         mat_inv(F, [[1, 2], [2, 4]])
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (3, 2), (2, 4), (5, 2)], ids=["F3", "F5", "F9", "F16", "F25"])
+def test_vandermonde_inverse_is_cached_per_field(p, m):
+    F = build_field(p, m)
+    q = F.q
+    W = [[F.pow(x, j) for j in range(q)] for x in range(q)]
+    Winv = _vandermonde_inv(p, m)
+    ident = [[1 if i == j else 0 for j in range(q)] for i in range(q)]
+    dot = lambda row, j: functools.reduce(F.add, (F.mul(row[k], W[k][j]) for k in range(q)), 0)
+    assert [[dot(row, j) for j in range(q)] for row in Winv] == ident
+    assert _vandermonde_inv(p, m) is Winv
 
 
 def test_dependent_basis_rejected():

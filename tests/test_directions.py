@@ -11,7 +11,7 @@ from ppkit.errors import DomainTooLarge
 from ppkit.families import eval_family, family_for_theorem
 from ppkit.gf import build_field
 from ppkit.oracle import is_bijection
-from ppkit.tower import build_tower
+from ppkit.tower import TowerCtx, build_tower
 
 
 def test_linear_map_has_single_direction():
@@ -96,3 +96,50 @@ def test_size_guard():
         permuting_translate_set(lambda x: x, F)
     with pytest.raises(DomainTooLarge):
         direction_set(lambda x: x, F, restrict_to_base=True)
+
+
+@pytest.mark.parametrize(
+    "ctx",
+    [
+        build_field(2, 3),
+        build_field(3, 2),
+        build_tower(build_field(3, 1)),
+        build_tower(build_field(2, 2)),
+    ],
+    ids=["F8", "F9", "F3^2", "F4^2"],
+)
+def test_direction_set_matches_definition(ctx):
+    rng = random.Random(ctx.order)
+    n, add, mul, pw, sub, div = ctx.order, ctx.add, ctx.mul, ctx.pow, ctx.sub, ctx.div
+    tables = [rng.sample(range(n), n) for _ in range(3)]  # permutations
+    tables += [[rng.randrange(n) for _ in range(n)] for _ in range(3)]
+    for _ in range(4):  # a*x^p + b*x^(p^2) + c: additive, so few directions
+        a, b, c = (rng.randrange(n) for _ in range(3))
+        tables.append(
+            [add(add(mul(a, pw(x, ctx.p)), mul(b, pw(x, ctx.p**2))), c) for x in range(n)]
+        )
+    restricts = [False, True] if isinstance(ctx, TowerCtx) else [False]
+    for table in tables:
+        for restrict in restricts:
+            want = {
+                div(sub(table[x], table[y]), sub(x, y))
+                for x in range(n) for y in range(n)
+                if x != y and (not restrict or ctx.split(sub(x, y))[1] == 0)  # x - y in F_q
+            }
+            assert direction_set(lambda x: table[x], ctx, restrict_to_base=restrict) == want
+
+
+@pytest.mark.parametrize(
+    "ctx", [build_field(2, 3), build_tower(build_field(3, 1))], ids=["F8", "F3^2"]
+)
+def test_check_complementarity_evaluates_f_once_per_element(ctx):
+    calls = []
+    table = random.Random(1).sample(range(ctx.order), ctx.order)
+
+    def f(x):
+        calls.append(x)
+        return table[x]
+
+    rep = check_complementarity(f, ctx)
+    assert sorted(calls) == list(range(ctx.order))
+    assert rep.complementary and rep.sizes_sum_to_field

@@ -119,6 +119,20 @@ def test_component_table_eval_and_serialize():
     assert t.same_values(same)
 
 
+@pytest.mark.parametrize("p,m", [(3, 1), (3, 2), (2, 2)], ids=["F3", "F9", "F4"])
+def test_value_tables_match_eval(p, m):
+    # degrees of q and more fold down at small q, so the power table must reach them
+    B = build_field(p, m)
+    q = B.q
+    rng = random.Random(q)
+    keys = [(q + 1, 0), (0, 2 * q), (1, q), (q - 1, q - 1), (0, 1), (2, 3)]
+    t = ComponentTable(B, {k: rng.randrange(1, q) for k in keys}, {k: rng.randrange(q) for k in keys[::2]})
+    assert t.value_tables() == tuple(
+        [[t.eval(which, y, z) for z in range(q)] for y in range(q)] for which in (1, 2)
+    )
+    assert ComponentTable(B, {}, {}).value_tables() == ([[0] * q] * q,) * 2
+
+
 def test_closed_form_requires_gamma_in_base():
     T = build_tower(build_field(3, 1))
     with pytest.raises(KindContextMismatch):

@@ -26,7 +26,7 @@ def test_is_bijection_rejects_out_of_domain():
 def test_images_permute():
     assert images_permute(np.array([2, 0, 1]), 3)
     assert not images_permute(np.array([0, 0, 1]), 3)
-    for images in ([0, 3], [-1, 0]):
+    for images in ([0, 3], [-1, 0], [0, 1], [0, 1, 2, 2]):  # short or long vectors too
         with pytest.raises(ImageOutOfDomain):
             images_permute(np.array(images), 3)
 
