@@ -14,12 +14,12 @@ import sys
 
 from . import sweep as sweep_mod
 from .decompose import lemma31_extract
-from .directions import check_complementarity
+from .directions import check_complementarity, direction_order
 from .errors import InvalidParam, PPKitError
 from .families import (
     closed_form_components,
-    eval_family,
     family_for_theorem,
+    family_images,
     theorem_context,
     theorem_info,
 )
@@ -195,8 +195,9 @@ def _cmd_directions(args) -> int:
     gamma = tower.elem(args.gamma if args.gamma is not None else 0).enc
     # duality is checked for the family with its linear part removed
     spec = family_for_theorem(args.theorem, delta, 0, i=args.i, d=args.d)
-    f = lambda e: eval_family(spec, tower, e).enc
-    report = check_complementarity(f, tower)
+    direction_order(tower)  # the size guard, before the tower's tables are built
+    images = family_images(spec, tower)
+    report = check_complementarity(images.tolist().__getitem__, tower)
     out = {
         "theorem": args.theorem,
         "delta": delta,

@@ -13,8 +13,10 @@ import functools
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import DependentBasis, KindContextMismatch, SingularMatrix
-from .families import ComponentTable, FamilySpec, eval_family
+import numpy as np
+
+from .errors import DependentBasis, SingularMatrix
+from .families import ComponentTable, FamilySpec, family_images
 from .gf import FieldCtx, FieldElem, _poly_to_enc, build_field
 from .oracle import is_bijection, multivar_bijection
 from .tower import TowerCtx, proof_substitution
@@ -142,48 +144,69 @@ def verify_equivalence(
 def lemma31_extract(spec: FamilySpec, tower: TowerCtx) -> ComponentTable:
     """Numerically extract (g1, g2) for a delta-power family.
 
-    Evaluates f along the proof substitution x(y, z), reads {1, alpha}
-    coordinates, interpolates both value tables over F_q x F_q, and drops the
-    constant term.  Coefficients are reduced modulo y^q - y and z^q - z, so
-    at small q high-degree terms fold down; comparisons should therefore run
-    on value tables.
+    Evaluates f once on the whole tower, reads it along the proof
+    substitution x(y, z), splits the values into {1, alpha} coordinates,
+    interpolates both value tables over F_q x F_q, and drops the constant
+    term.  Coefficients are reduced modulo y^q - y and z^q - z, so at small q
+    high-degree terms fold down; comparisons should therefore run on value
+    tables.
     """
-    if spec.kind not in ("delta_power", "even_delta_power"):
-        raise KindContextMismatch("extraction is defined for delta-power kinds")
+    delta = tower.elem(spec.delta)
+    images = family_images(spec, tower)  # raises KindContextMismatch off a delta-power kind
     B = tower.base
     q = B.q
-    delta = tower.elem(spec.delta)
-    V1 = [[0] * q for _ in range(q)]
-    V2 = [[0] * q for _ in range(q)]
-    for y in range(q):
-        for z in range(q):
-            x = proof_substitution(tower, delta, B.elem(y), B.elem(z))
-            v = eval_family(spec, tower, x)
-            V1[y][z], V2[y][z] = tower.split(v.enc)
-    g1 = _interp2d(B, V1)
-    g2 = _interp2d(B, V2)
+    # x(y, z) has coordinates (y, c1(z)), so x = y + q * c1(z)
+    c1 = [proof_substitution(tower, delta, B.elem(0), B.elem(z)).enc // q for z in range(q)]
+    V = images[np.arange(q)[:, None] + q * np.array(c1)]
+    g1 = _interp2d(B, V % q)
+    g2 = _interp2d(B, V // q)
     g1.pop((0, 0), None)  # the constant of the decomposition, discarded
     g2.pop((0, 0), None)
     return ComponentTable(B, g1, g2)
 
 
+# the elements of one broadcast product in _mat_mul, which bounds its memory
+_MAT_MUL_BLOCK = 2**18
+
+
 @functools.cache
-def _vandermonde_inv(p: int, m: int) -> tuple:
-    """Inverse of the Vandermonde matrix [[x^j]] over all of F_{p^m}, rows as tuples.
+def _vandermonde_inv(p: int, m: int) -> np.ndarray:
+    """Inverse of the Vandermonde matrix [[x^j]] over all of F_{p^m}, read-only int64.
 
     It depends on the field alone, so it is inverted once per (p, m); keyed on
     ints rather than a context, so no field is kept.
     """
     ctx = build_field(p, m)
     W = [[ctx.pow(x, j) for j in range(ctx.q)] for x in range(ctx.q)]
-    return tuple(map(tuple, mat_inv(ctx, W)))
+    out = np.array(mat_inv(ctx, W), dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
+def _mat_mul(ctx: FieldCtx, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X . Y over ctx for square int64 matrices of encodings.
+
+    The products X[i, k] * Y[k, j] are formed by broadcast, a block of k at a
+    time, and summed over k one pair at a time: unspread adds two spreads
+    without carry, not more.
+    """
+    n = X.shape[0]
+    step = max(1, _MAT_MUL_BLOCK // (n * n))
+    acc = np.zeros((n, n), dtype=np.int64)
+    for lo in range(0, n, step):
+        prods = ctx.mul_vec(X[:, lo:lo + step, None], Y[None, lo:lo + step, :])  # (i, k, j)
+        for k in range(prods.shape[1]):
+            acc = ctx.add_vec(acc, prods[:, k])
+    return acc
 
 
 def _interp2d(ctx: FieldCtx, V) -> dict:
-    """Exact bivariate interpolation on all of F_q x F_q (reduced exponents)."""
-    q = ctx.q
+    """Exact bivariate interpolation on all of F_q x F_q (reduced exponents).
+
+    V[y][z] is the value table; the coefficient of y^i z^j is C[i][j] for
+    C = Winv . V . Winv^T, returned as Python ints.
+    """
     Winv = _vandermonde_inv(ctx.p, ctx.m)
-    # C = Winv . V . Winv^T
-    T = [[_dot(ctx, Winv[i], [V[k][zcol] for k in range(q)]) for zcol in range(q)] for i in range(q)]
-    C = [[_dot(ctx, T[i], Winv[j]) for j in range(q)] for i in range(q)]
+    C = _mat_mul(ctx, _mat_mul(ctx, Winv, np.asarray(V, dtype=np.int64)), Winv.T).tolist()
+    q = ctx.q
     return {(i, j): C[i][j] for i in range(q) for j in range(q) if C[i][j] != 0}

@@ -15,14 +15,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainTooLarge
+from .errors import DomainTooLarge, KindContextMismatch
 from .oracle import images_permute
 from .tower import TowerCtx
 
 MAX_DIRECTION_FIELD = 2**12
 
 
-def _order(ctx) -> int:
+def direction_order(ctx) -> int:
     """|F|; the O(|F|^2) direction set caps it at MAX_DIRECTION_FIELD."""
     if ctx.order > MAX_DIRECTION_FIELD:
         raise DomainTooLarge(f"|F| = {ctx.order} exceeds {MAX_DIRECTION_FIELD}")
@@ -37,11 +37,11 @@ def direction_set(
     With restrict_to_base (tower contexts only) the denominators x - y are
     limited to the base field, giving the direction set of f along F_q lines.
     """
-    size, add, neg, mul, inv = _order(ctx), ctx.add, ctx.neg, ctx.mul, ctx.inv
+    size, add, neg, mul, inv = direction_order(ctx), ctx.add, ctx.neg, ctx.mul, ctx.inv
     diffs = range(1, size)
     if restrict_to_base:
         if not isinstance(ctx, TowerCtx):
-            raise DomainTooLarge("restrict_to_base needs a tower context")
+            raise KindContextMismatch("restrict_to_base needs a tower context")
         diffs = [ctx.embed(h) for h in range(1, ctx.q)]
     images = [f(x) for x in range(size)]
     negs = [neg(v) for v in images]
@@ -55,7 +55,7 @@ def direction_set(
 def permuting_translate_set(f: Callable[[int], int], ctx) -> set[int]:
     """All gamma for which x -> f(x) + gamma*x permutes the field, decided by
     the sweep's oracle on the vector arithmetic (direction_set stays scalar)."""
-    size = _order(ctx)
+    size = direction_order(ctx)
     at = ctx.line_vec(np.array([f(x) for x in range(size)], dtype=np.int64), np.arange(size))
     return {g for g in range(size) if images_permute(at(g), size)}
 
@@ -71,7 +71,7 @@ class DirectionReport:
 def check_complementarity(f: Callable[[int], int], ctx) -> DirectionReport:
     """Verify the direction/permuting-slope duality for f on the whole field,
     evaluating f once per element for both sides."""
-    size = _order(ctx)
+    size = direction_order(ctx)
     at = [f(x) for x in range(size)].__getitem__
     D = direction_set(at, ctx)
     P = permuting_translate_set(at, ctx)

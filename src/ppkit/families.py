@@ -17,6 +17,8 @@ import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     ExponentOutOfRange,
     InvalidParam,
@@ -82,15 +84,22 @@ def reduce_poly_coeffs(coeffs: dict[int, int], field_ctx: FieldCtx, q: int) -> l
     return out[1:]
 
 
+def _check_delta_power(spec: FamilySpec, ctx) -> None:
+    """Raise unless spec is a delta-power family and ctx a tower of its parity."""
+    if spec.kind not in ("delta_power", "even_delta_power"):
+        raise KindContextMismatch(f"{spec.kind} is not a delta-power family")
+    if not isinstance(ctx, TowerCtx):
+        raise KindContextMismatch("delta-power families need a TowerCtx")
+    if spec.kind == "delta_power" and ctx.kind != "odd":
+        raise KindContextMismatch("delta_power requires odd characteristic")
+    if spec.kind == "even_delta_power" and ctx.kind != "even":
+        raise KindContextMismatch("even_delta_power requires even characteristic")
+
+
 def eval_family(spec: FamilySpec, ctx, x):
-    """Exact evaluation of the family at a single point."""
+    """Exact evaluation of the family at a single point, on the scalar arithmetic."""
     if spec.kind in ("delta_power", "even_delta_power"):
-        if not isinstance(ctx, TowerCtx):
-            raise KindContextMismatch("delta-power families need a TowerCtx")
-        if spec.kind == "delta_power" and ctx.kind != "odd":
-            raise KindContextMismatch("delta_power requires odd characteristic")
-        if spec.kind == "even_delta_power" and ctx.kind != "even":
-            raise KindContextMismatch("even_delta_power requires even characteristic")
+        _check_delta_power(spec, ctx)
         if isinstance(x, TowerElem):
             x = x.enc
         q = ctx.q
@@ -137,6 +146,35 @@ def eval_family(spec: FamilySpec, ctx, x):
         return ctx.elem(acc)
 
     raise ValueError(f"unknown family kind {spec.kind!r}")
+
+
+def delta_power_rows(spec: FamilySpec, tower: TowerCtx, deltas):
+    """(delta, acc, lin) per delta: f = acc + gamma * lin on the whole tower.
+
+    The one vector evaluation of a delta-power family; spec gives the terms
+    and the linear part, its own delta and gamma are not read.  acc and lin
+    are int64 vectors indexed by encoding.  A spec or context that
+    eval_family refuses raises the same KindContextMismatch, when the first
+    row is drawn.
+    """
+    _check_delta_power(spec, tower)
+    xs = np.arange(tower.order)
+    xq = tower.pow_vec(xs, tower.q)
+    core0 = tower.add_vec(xq, tower.mul_vec(tower.scalar(-1), xs))  # x^q -+ x
+    lin = xs if spec.linear_kind == "x" else tower.add_vec(xq, xs)
+    exps = [instantiate_exponent(t, tower.q, tower.p) for t in spec.terms]
+    for delta in deltas:
+        core = tower.add_vec(core0, delta)
+        acc = np.zeros(tower.order, dtype=np.int64)
+        for s in exps:
+            acc = tower.add_vec(acc, tower.pow_vec(core, s))
+        yield delta, acc, lin
+
+
+def family_images(spec: FamilySpec, tower: TowerCtx) -> np.ndarray:
+    """f(x) for every encoding x, at spec's delta and gamma, as one int64 vector."""
+    [(_, acc, lin)] = delta_power_rows(spec, tower, (spec.delta,))
+    return tower.line_vec(acc, lin)(spec.gamma)
 
 
 # ---------------------------------------------------------------------------

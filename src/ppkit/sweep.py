@@ -22,10 +22,9 @@ import numpy as np
 
 from . import criteria
 from .errors import InvalidParam
-from .families import family_for_theorem, instantiate_exponent, theorem_context, theorem_info
+from .families import delta_power_rows, family_for_theorem, theorem_context, theorem_info
 from .gf import subfield_order
 from .oracle import images_permute
-from .tower import TowerCtx
 
 
 @dataclass(frozen=True)
@@ -46,22 +45,6 @@ class SweepRecord:
 
     def serialize(self) -> dict:
         return dict(vars(self))
-
-
-def _tower_rows(tid: str, tower: TowerCtx, deltas, i: Optional[int]):
-    """(delta, acc, lin) per delta: f = acc + gamma * lin on the whole tower."""
-    spec = family_for_theorem(tid, 0, 0, i=i)
-    xs = np.arange(tower.order)
-    xq = tower.pow_vec(xs, tower.q)
-    core0 = tower.add_vec(xq, tower.mul_vec(tower.scalar(-1), xs))  # x^q -+ x
-    lin = xs if spec.linear_kind == "x" else tower.add_vec(xq, xs)
-    exps = [instantiate_exponent(t, tower.q, tower.p) for t in spec.terms]
-    for delta in deltas:
-        core = tower.add_vec(core0, delta)
-        acc = np.zeros(tower.order, dtype=np.int64)
-        for s in exps:
-            acc = tower.add_vec(acc, tower.pow_vec(core, s))
-        yield delta, acc, lin
 
 
 def _trace_rows(field, d: int):
@@ -111,7 +94,7 @@ def _job(job, ctx=None) -> list[SweepRecord]:
         ctx = theorem_context(tid, p, m, u, i, d)
     if theorem_info(tid).needs_d:  # the trace form: one row, at delta 0
         return _records(ctx, (tid, p, m * d, 0, None, d), _trace_rows(ctx, d), gammas)
-    rows = _tower_rows(tid, ctx, deltas, i)
+    rows = delta_power_rows(family_for_theorem(tid, 0, 0, i=i), ctx, deltas)
     return _records(ctx, (tid, p, m, ctx.u, i, None), rows, gammas)
 
 

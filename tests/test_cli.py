@@ -6,6 +6,7 @@ import argparse
 
 import pytest
 
+from ppkit import families
 from ppkit.cli import _resolve_delta, build_parser, main
 from ppkit.errors import PPKitError
 from ppkit.gf import build_field
@@ -114,6 +115,25 @@ def test_directions(capsys):
     rep = json.loads(out)
     assert rep["complementary"] is True
     assert rep["direction_count"] + rep["permuting_count"] == 9
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ["decompose --p 3 --m 2 --theorem 3.6 --delta 5 --gamma 2",
+     "directions --p 3 --m 1 --theorem 3.2 --delta 5 --gamma 2"],
+    ids=["decompose", "directions"],
+)
+def test_point_query_evaluates_the_family_once(capsys, monkeypatch, argv):
+    calls = []
+    rows = families.delta_power_rows
+    monkeypatch.setattr(families, "delta_power_rows", lambda *a: calls.append(a) or rows(*a))
+
+    def scalar(*a):
+        raise AssertionError("eval_family called")
+
+    monkeypatch.setattr(families, "eval_family", scalar)
+    code, _, _ = run_cli(capsys, *argv.split())
+    assert code == 0 and len(calls) == 1
 
 
 def test_usage_error_exit_code():

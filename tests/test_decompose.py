@@ -6,6 +6,7 @@ import pytest
 from ppkit.decompose import (
     DecompositionConfig,
     _basis_matrix,
+    _interp2d,
     _vandermonde_inv,
     component_map,
     lemma31_extract,
@@ -13,7 +14,7 @@ from ppkit.decompose import (
     verify_equivalence,
 )
 from ppkit.errors import DependentBasis, KindContextMismatch, SingularMatrix
-from ppkit.families import THEOREMS, FamilySpec, closed_form_components, family_for_theorem
+from ppkit.families import THEOREMS, ComponentTable, FamilySpec, closed_form_components, family_for_theorem
 from ppkit.gf import build_field
 from ppkit.tower import build_tower
 
@@ -151,3 +152,21 @@ def test_lemma31_extract_rejects_flat_kinds():
     T = build_tower(build_field(3, 1))
     with pytest.raises(KindContextMismatch):
         lemma31_extract(FamilySpec(kind="trace_form", d=1, gamma=1), T)
+    # a delta-power kind on a tower of the other parity, or on a flat field
+    T_even = build_tower(build_field(2, 2))
+    odd, even = family_for_theorem("3.6", 1, 1), family_for_theorem("3.19", 1, 1)
+    for spec, ctx in [(odd, T_even), (even, T), (odd, build_field(3, 2))]:
+        with pytest.raises(KindContextMismatch):
+            lemma31_extract(spec, ctx)
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3)], ids=["F4", "F8", "F9", "F25", "F27"])
+def test_interp2d_reproduces_value_tables(p, m):
+    F = build_field(p, m)
+    q = F.q
+    rng = random.Random(q)
+    V = [[rng.randrange(q) for _ in range(q)] for _ in range(q)]
+    coeffs = _interp2d(F, V)
+    assert all(type(v) is int for key, c in coeffs.items() for v in (*key, c))
+    table = ComponentTable(F, coeffs, {})
+    assert [[table.eval(1, y, z) for z in range(q)] for y in range(q)] == V

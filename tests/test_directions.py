@@ -7,7 +7,7 @@ from ppkit.directions import (
     direction_set,
     permuting_translate_set,
 )
-from ppkit.errors import DomainTooLarge
+from ppkit.errors import DomainTooLarge, KindContextMismatch
 from ppkit.families import eval_family, family_for_theorem
 from ppkit.gf import build_field
 from ppkit.oracle import is_bijection
@@ -86,6 +86,11 @@ def test_restricted_direction_set():
     full = direction_set(f, T)
     restricted = direction_set(f, T, restrict_to_base=True)
     assert restricted <= full == {4}
+
+
+def test_restrict_to_base_needs_a_tower():
+    with pytest.raises(KindContextMismatch):
+        direction_set(lambda x: x, build_field(3, 2), restrict_to_base=True)
 
 
 def test_size_guard():

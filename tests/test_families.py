@@ -17,8 +17,10 @@ from ppkit.families import (
     ComponentTable,
     FamilySpec,
     closed_form_components,
+    delta_power_rows,
     eval_family,
     family_for_theorem,
+    family_images,
     instantiate_exponent,
     reduce_poly_coeffs,
     theorem_info,
@@ -55,6 +57,27 @@ def test_family_kinds_need_matching_context():
     spec19 = family_for_theorem("3.19", 1, 1)
     with pytest.raises(KindContextMismatch):
         eval_family(spec19, T_odd, 0)
+    for s, ctx in [(spec, T_even), (spec, F), (spec19, T_odd)]:  # the vector path too
+        with pytest.raises(KindContextMismatch):
+            family_images(s, ctx)
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (3, 2), (2, 1), (2, 3)], ids=["F3^2", "F9^2", "F2^2", "F8^2"])
+def test_delta_power_rows_match_eval_family(p, m):
+    T = build_tower(build_field(p, m))
+    rng = random.Random(T.order)
+    n = T.order
+    tids = [t.tid for t in THEOREMS.values() if t.char == T.kind and not t.needs_d]
+    for tid in tids:
+        for i in range(m + 1) if THEOREMS[tid].needs_i else [None]:  # every i, probes included
+            pairs = [(0, 0), (0, rng.randrange(1, n)), (rng.randrange(1, n), 0)]
+            pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(3)]
+            rows = delta_power_rows(family_for_theorem(tid, 0, 0, i=i), T, [d for d, _ in pairs])
+            for (delta, acc, lin), (_, gamma) in zip(rows, pairs):
+                spec = family_for_theorem(tid, delta, gamma, i=i)
+                want = [eval_family(spec, T, x).enc for x in range(n)]
+                assert T.line_vec(acc, lin)(gamma).tolist() == want, (tid, i, delta, gamma)
+                assert family_images(spec, T).tolist() == want
 
 
 def test_delta_power_evaluation_by_hand():
