@@ -173,12 +173,18 @@ _MAT_MUL_BLOCK = 2**18
 def _vandermonde_inv(p: int, m: int) -> np.ndarray:
     """Inverse of the Vandermonde matrix [[x^j]] over all of F_{p^m}, read-only int64.
 
-    It depends on the field alone, so it is inverted once per (p, m); keyed on
-    ints rather than a context, so no field is kept.
+    Column a holds the coefficients of the Lagrange polynomial
+    L_a(x) = 1 - (x - a)^(q-1), which is 1 at a and 0 elsewhere.  As
+    binom(q-1, j) = (-1)^j mod p, entry (j, a) is [j = 0] - a^(q-1-j) with
+    0^0 = 1, so no elimination is needed.  It depends on the field alone, so
+    it is built once per (p, m); keyed on ints rather than a context, so no
+    field is kept.
     """
     ctx = build_field(p, m)
-    W = [[ctx.pow(x, j) for j in range(ctx.q)] for x in range(ctx.q)]
-    out = np.array(mat_inv(ctx, W), dtype=np.int64)
+    xs = np.arange(ctx.q)
+    pows = np.array([ctx.pow_vec(xs, ctx.q - 1 - j) for j in range(ctx.q)])
+    out = ctx.mul_vec(ctx.neg(1), pows)
+    out[0] = ctx.add_vec(1, out[0])
     out.flags.writeable = False
     return out
 

@@ -56,8 +56,9 @@ def permuting_translate_set(f: Callable[[int], int], ctx) -> set[int]:
     """All gamma for which x -> f(x) + gamma*x permutes the field, decided by
     the sweep's oracle on the vector arithmetic (direction_set stays scalar)."""
     size = direction_order(ctx)
-    at = ctx.line_vec(np.array([f(x) for x in range(size)], dtype=np.int64), np.arange(size))
-    return {g for g in range(size) if images_permute(at(g), size)}
+    acc = np.array([f(x) for x in range(size)], dtype=np.int64)
+    rows = ctx.line_rows(acc, np.arange(size), range(size))
+    return {g for g, images in enumerate(rows) if images_permute(images, size)}
 
 
 @dataclass(frozen=True)

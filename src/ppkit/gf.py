@@ -29,6 +29,10 @@ from .errors import (
 
 DEFAULT_MAX_Q = 2**16
 
+# the images of one block gathered by ArithCtx.line_rows: it bounds the
+# block's memory and keeps the block in cache while its rows are read
+_LINE_BLOCK = 2**14
+
 
 def max_field_size() -> int:
     """Field-size bound; overridable through the PPKIT_MAX_Q env var."""
@@ -317,18 +321,38 @@ class ArithCtx:
     def line_vec(self, acc, lin):
         """gamma -> acc + gamma * lin elementwise, for an int encoding gamma.
 
-        The lookups that read only acc and lin are made here, once per line:
-        a point then costs exp[log lin + log gamma] XOR acc for p = 2, and
-        unspread[spread acc + spread_exp[log lin + log gamma]] for odd p.
+        For a 1-D int array of k gammas it returns the (k, len(lin)) block
+        whose row j is the vector at gammas[j], from the same lookups in one
+        gather.  The lookups that read only acc and lin are made here, once
+        per line: a point then costs exp[log lin + log gamma] XOR acc for
+        p = 2, and unspread[spread acc + spread_exp[log lin + log gamma]] for
+        odd p.  log[gamma, None] has shape (1,) for an int and (k, 1) for an
+        array, so one expression broadcasts to either.
         """
         if self._tables is None:
             self.tables()
-        log_lin, log = self._log[lin], self._log_list
+        log_lin, log = self._log[lin], self._log
         if self.p == 2:
             exp = self._exp
-            return lambda gamma: acc ^ exp[log_lin + log[gamma]]
+            return lambda gamma: acc ^ exp[log_lin + log[gamma, None]]
         spread_acc, spread_exp, unspread = self._spread[acc], self._spread_exp, self._unspread
-        return lambda gamma: unspread[spread_acc + spread_exp[log_lin + log[gamma]]]
+        return lambda gamma: unspread[spread_acc + spread_exp[log_lin + log[gamma, None]]]
+
+    def line_rows(self, acc, lin, gammas):
+        """The vector acc + gamma * lin at each gamma of the sequence gammas, in order.
+
+        The vectors are gathered by line_vec a block of gammas at a time, with
+        at most _LINE_BLOCK images in a block, and yielded as the block's rows.
+        Where a block would hold one gamma, each vector is gathered alone, as
+        a 1-D vector, which costs less than a block of one row.
+        """
+        at = self.line_vec(acc, lin)
+        step = _LINE_BLOCK // len(lin)
+        if step < 2:
+            yield from map(at, gammas)
+            return
+        for lo in range(0, len(gammas), step):
+            yield from at(np.asarray(gammas[lo:lo + step], dtype=np.int64))
 
     def pow_vec(self, vec: np.ndarray, e: int) -> np.ndarray:
         """Elementwise vec**e as exp[(e * log v) mod (order - 1)]; 0**0 == 1."""

@@ -63,17 +63,18 @@ def _records(ctx, head: tuple, rows, gammas) -> list[SweepRecord]:
     """The records of each row (delta, acc, lin) at each gamma; f = acc + gamma * lin.
 
     head is the records' (tid, p, m, u, i, d).  No other code makes a SweepRecord.
-    The oracle runs on every record; predict computes one verdict per
-    (i, trace class of delta, gamma) and returns it for the rest of the class.
+    A row's image vectors are gathered a block of gammas at a time (line_rows),
+    but the oracle still runs on every record, one vector at a time; predict
+    computes one verdict per (i, trace class of delta, gamma) and returns it
+    for the rest of the class.
     """
     tid, _, _, _, i, d = head
     ctx.tables()
     records = []
     with criteria.one_verdict_per_class():
         for delta, acc, lin in rows:
-            at = ctx.line_vec(acc, lin)
-            for gamma in gammas:
-                pp = images_permute(at(gamma), ctx.order)
+            for gamma, images in zip(gammas, ctx.line_rows(acc, lin, gammas), strict=True):
+                pp = images_permute(images, ctx.order)
                 v = criteria.predict(tid, ctx, delta, gamma, i=i, d=d)
                 records.append(
                     SweepRecord(

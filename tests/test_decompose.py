@@ -1,12 +1,14 @@
 import functools
 import random
 
+import numpy as np
 import pytest
 
 from ppkit.decompose import (
     DecompositionConfig,
     _basis_matrix,
     _interp2d,
+    _mat_mul,
     _vandermonde_inv,
     component_map,
     lemma31_extract,
@@ -45,6 +47,22 @@ def test_vandermonde_inverse_is_cached_per_field(p, m):
     dot = lambda row, j: functools.reduce(F.add, (F.mul(row[k], W[k][j]) for k in range(q)), 0)
     assert [[dot(row, j) for j in range(q)] for row in Winv] == ident
     assert _vandermonde_inv(p, m) is Winv
+
+
+@pytest.mark.parametrize(
+    "p,m", [(2, 1), (3, 1), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2)],
+    ids=["F2", "F3", "F8", "F9", "F25", "F27", "F49"],
+)
+def test_vandermonde_inverse_closed_form_is_mat_inv(p, m):
+    F = build_field(p, m)
+    W = [[F.pow(x, j) for j in range(F.q)] for x in range(F.q)]
+    assert _vandermonde_inv(p, m).tolist() == mat_inv(F, W)
+
+
+def test_vandermonde_inverse_times_vandermonde_is_identity():
+    F = build_field(7, 2)
+    W = np.array([[F.pow(x, j) for j in range(F.q)] for x in range(F.q)], dtype=np.int64)
+    assert _mat_mul(F, W, _vandermonde_inv(7, 2)).tolist() == np.eye(F.q, dtype=np.int64).tolist()
 
 
 def test_dependent_basis_rejected():

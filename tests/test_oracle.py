@@ -31,6 +31,14 @@ def test_images_permute():
             images_permute(np.array(images), 3)
 
 
+def test_images_permute_returns_a_python_bool():
+    block = np.array([[2, 0, 1], [0, 0, 1]])
+    for images, want in ((np.array([2, 0, 1]), True), (np.array([1, 1, 1]), False),
+                         (block[0], True), (block[1], False)):
+        got = images_permute(images, 3)
+        assert type(got) is bool and got is want
+
+
 def test_multivar_bijection():
     G = lambda t: (t[1], t[0])
     assert multivar_bijection(G, 3, 2).is_permutation

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from ppkit import criteria, sweep
+from ppkit import criteria, gf, sweep
 from ppkit.criteria import predict
 from ppkit.errors import MissingParam, WrongCharacteristic
 from ppkit.families import THEOREMS, eval_family, family_for_theorem, theorem_context, theorem_info
@@ -123,6 +123,19 @@ def test_check_equals_sweep_record(args, kw):
     rng = random.Random(11)
     for rec in rng.sample(recs, min(len(recs), 40)):
         assert check_single(*args, delta=rec.delta, gamma=rec.gamma, **kw) == rec
+
+
+@pytest.mark.parametrize(
+    "args, kw", [(("3.6", 3, 2), {"probe_hypotheses": True}), (("3.19", 2, 3), {})],
+    ids=["3.6-F9-probe", "3.19-F8"],
+)
+def test_records_do_not_depend_on_the_gamma_block(monkeypatch, args, kw):
+    want = sweep_theorem(*args, **kw)
+    # 1 image: each vector gathered alone.  1000 images: 15 gammas a block over
+    # F_64 and 12 over F_81, so the last block of the 63 or 81 gammas is short
+    for images in (1, 1000):
+        monkeypatch.setattr(gf, "_LINE_BLOCK", images)
+        assert sweep_theorem(*args, **kw) == want, images
 
 
 # (tid, delta, gamma) per field beyond the q <= 64 of dense q^2 x q^2 tables;

@@ -129,6 +129,26 @@ def test_line_vec_is_add_of_mul(kind, p, m):
         assert at(g).tolist() == ctx.add_vec(acc, ctx.mul_vec(g, lin)).tolist(), g
 
 
+@pytest.mark.parametrize(
+    "kind,p,m",
+    [("flat", 2, 3), ("flat", 3, 2), ("flat", 5, 2), ("tower", 2, 2), ("tower", 5, 1),
+     ("tower", 3, 2)],
+    ids=["F8", "F9", "F25", "F4^2", "F5^2", "F9^2"],
+)
+def test_line_vec_block_rows_are_the_int_vectors(kind, p, m):
+    ctx = _table_ctx(kind, p, m)
+    rng = np.random.default_rng(ctx.order)
+    acc = rng.integers(0, ctx.order, size=2 * ctx.order)
+    lin = rng.integers(0, ctx.order, size=2 * ctx.order)
+    lin[:ctx.order] = 0
+    at = ctx.line_vec(acc, lin)
+    gs = [0] + rng.integers(0, ctx.order, size=ctx.order).tolist() + [0]
+    block = at(np.array(gs))
+    assert block.shape == (len(gs), len(lin))
+    for j, g in enumerate(gs):
+        assert block[j].tolist() == at(g).tolist(), (j, g)
+
+
 def test_pow_vec_matches_pow():
     for kind, p, m in [("tower", 3, 1), ("tower", 3, 2), ("flat", 2, 4), ("flat", 2, 9)]:
         ctx = _table_ctx(kind, p, m)
