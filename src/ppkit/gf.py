@@ -326,33 +326,30 @@ class ArithCtx:
         gather.  The lookups that read only acc and lin are made here, once
         per line: a point then costs exp[log lin + log gamma] XOR acc for
         p = 2, and unspread[spread acc + spread_exp[log lin + log gamma]] for
-        odd p.  log[gamma, None] has shape (1,) for an int and (k, 1) for an
+        odd p.  log_col[gamma] has shape (1,) for an int and (k, 1) for an
         array, so one expression broadcasts to either.
         """
         if self._tables is None:
             self.tables()
-        log_lin, log = self._log[lin], self._log
+        log_lin, log_col = self._log[lin], self._log[:, None]
         if self.p == 2:
             exp = self._exp
-            return lambda gamma: acc ^ exp[log_lin + log[gamma, None]]
+            return lambda gamma: acc ^ exp[log_lin + log_col[gamma]]
         spread_acc, spread_exp, unspread = self._spread[acc], self._spread_exp, self._unspread
-        return lambda gamma: unspread[spread_acc + spread_exp[log_lin + log[gamma, None]]]
+        return lambda gamma: unspread[spread_acc + spread_exp[log_lin + log_col[gamma]]]
 
     def line_rows(self, acc, lin, gammas):
         """The vector acc + gamma * lin at each gamma of the sequence gammas, in order.
 
         The vectors are gathered by line_vec a block of gammas at a time, with
-        at most _LINE_BLOCK images in a block, and yielded as the block's rows.
-        Where a block would hold one gamma, each vector is gathered alone, as
-        a 1-D vector, which costs less than a block of one row.
+        at most _LINE_BLOCK images in a block (one gamma where a vector alone
+        is longer), and yielded as the block's rows.
         """
         at = self.line_vec(acc, lin)
-        step = _LINE_BLOCK // len(lin)
-        if step < 2:
-            yield from map(at, gammas)
-            return
+        gammas = np.asarray(gammas, dtype=np.int64)
+        step = max(1, _LINE_BLOCK // len(lin))
         for lo in range(0, len(gammas), step):
-            yield from at(np.asarray(gammas[lo:lo + step], dtype=np.int64))
+            yield from at(gammas[lo:lo + step])
 
     def pow_vec(self, vec: np.ndarray, e: int) -> np.ndarray:
         """Elementwise vec**e as exp[(e * log v) mod (order - 1)]; 0**0 == 1."""

@@ -24,19 +24,12 @@ def test_is_bijection_rejects_out_of_domain():
 
 
 def test_images_permute():
-    assert images_permute(np.array([2, 0, 1]), 3)
-    assert not images_permute(np.array([0, 0, 1]), 3)
+    block = np.array([[2, 0, 1], [0, 0, 1]])  # a sweep passes the rows of a block
+    for images, want in (([2, 0, 1], True), ([0, 0, 1], False), (block[0], True), (block[1], False)):
+        assert images_permute(np.asarray(images), 3) is want  # a Python bool, not np.bool_
     for images in ([0, 3], [-1, 0], [0, 1], [0, 1, 2, 2]):  # short or long vectors too
         with pytest.raises(ImageOutOfDomain):
             images_permute(np.array(images), 3)
-
-
-def test_images_permute_returns_a_python_bool():
-    block = np.array([[2, 0, 1], [0, 0, 1]])
-    for images, want in ((np.array([2, 0, 1]), True), (np.array([1, 1, 1]), False),
-                         (block[0], True), (block[1], False)):
-        got = images_permute(images, 3)
-        assert type(got) is bool and got is want
 
 
 def test_multivar_bijection():

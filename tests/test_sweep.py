@@ -131,7 +131,7 @@ def test_check_equals_sweep_record(args, kw):
 )
 def test_records_do_not_depend_on_the_gamma_block(monkeypatch, args, kw):
     want = sweep_theorem(*args, **kw)
-    # 1 image: each vector gathered alone.  1000 images: 15 gammas a block over
+    # 1 image: one gamma a block.  1000 images: 15 gammas a block over
     # F_64 and 12 over F_81, so the last block of the 63 or 81 gammas is short
     for images in (1, 1000):
         monkeypatch.setattr(gf, "_LINE_BLOCK", images)
