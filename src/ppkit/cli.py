@@ -87,7 +87,6 @@ def build_parser() -> _Parser:
         default="stated",
         help="restrict gamma to the theorem's hypothesis (default) or probe all of F_{q^2}",
     )
-    sw.add_argument("--workers", type=int, default=1, help="processes (default 1)")
     sw.add_argument("--out", default=None, help="output path (default stdout)")
     sw.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
 
@@ -149,7 +148,6 @@ def _cmd_sweep(args) -> int:
     records = sweep_mod.sweep_theorem(
         args.theorem, args.p, args.m, u=args.u, i=args.i, d=args.d,
         probe_hypotheses=args.gamma_domain == "full",
-        workers=args.workers,
     )
     if not records:
         raise PPKitError(f"theorem {args.theorem} over F_{args.p}^{args.m} yields no records")

@@ -21,6 +21,8 @@ from .tower import TowerCtx
 
 
 HYPOTHESIS_VIOLATED = "hypothesis-violated"
+FOLDED = "permutes only after exponent folding"
+VOIDED = "stated case voided by exponent folding"
 
 
 @dataclass(frozen=True)
@@ -179,8 +181,8 @@ def _class_verdict(
         exact = _z_component_permutes(tid, tower, delta, gamma, i)
         if exact != v.predicted:
             if exact:
-                return Verdict(True, "folded", "permutes only after exponent folding")
-            return Verdict(False, "none", "stated case voided by exponent folding")
+                return Verdict(True, "folded", FOLDED)
+            return Verdict(False, "none", VOIDED)
     return v
 
 

@@ -37,10 +37,6 @@ class DependentBasis(PPKitError):
     """Supplied basis vectors are linearly dependent."""
 
 
-class SingularGram(PPKitError):
-    """Trace Gram matrix is singular (cannot happen for a true basis)."""
-
-
 class ImageOutOfDomain(PPKitError):
     """An evaluator produced an encoding outside the codomain."""
 

@@ -13,15 +13,12 @@ import contextlib
 import csv
 import io
 import json
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import criteria
-from .errors import InvalidParam
 from .families import delta_power_rows, family_for_theorem, theorem_context, theorem_info
 from .gf import subfield_order
 from .oracle import images_permute
@@ -85,18 +82,12 @@ def _records(ctx, head: tuple, rows, gammas) -> list[SweepRecord]:
     return records
 
 
-def _job(job, ctx=None) -> list[SweepRecord]:
-    """The records of one job (tid, p, m, u, i, d, deltas, gammas).
-
-    ctx is the theorem's field; a worker process builds its own.
-    """
-    tid, p, m, u, i, d, deltas, gammas = job
-    if ctx is None:
-        ctx = theorem_context(tid, p, m, u, i, d)
+def _head_rows(ctx, tid: str, p: int, m: int, i: Optional[int], d: Optional[int], deltas):
+    """The records' head (tid, p, m, u, i, d) and the (delta, acc, lin) rows of one i."""
     if theorem_info(tid).needs_d:  # the trace form: one row, at delta 0
-        return _records(ctx, (tid, p, m * d, 0, None, d), _trace_rows(ctx, d), gammas)
+        return (tid, p, m * d, 0, None, d), _trace_rows(ctx, d)
     rows = delta_power_rows(family_for_theorem(tid, 0, 0, i=i), ctx, deltas)
-    return _records(ctx, (tid, p, m, ctx.u, i, None), rows, gammas)
+    return (tid, p, m, ctx.u, i, None), rows
 
 
 def sweep_theorem(
@@ -107,37 +98,23 @@ def sweep_theorem(
     i: Optional[int] = None,
     d: Optional[int] = None,
     probe_hypotheses: bool = False,
-    workers: int = 1,
 ) -> list[SweepRecord]:
     """All records for one theorem over F_{p^m}, in (i, delta, gamma) order."""
-    if workers < 1:
-        raise InvalidParam(f"workers={workers}; a sweep needs at least 1")
     info = theorem_info(tid)
     ctx = theorem_context(tid, p, m, u, i, d)
-    if info.needs_d:
-        return _job((tid, p, m, u, None, d, None, range(ctx.order)), ctx)
-
     if info.needs_i:
         i_values = [i] if i is not None else list(range(1, m))
     else:
         i_values = [None]
-    if probe_hypotheses:
+    if probe_hypotheses or info.needs_d:
         gammas = range(ctx.order)
     else:
         gammas = range(1, ctx.q if info.gamma_domain == "Fq_star" else ctx.order)
-    bounds = np.linspace(0, ctx.order, workers + 1, dtype=int)
-    jobs = [
-        (tid, p, m, ctx.u, iv, None, range(lo, hi), gammas)
+    return [
+        r
         for iv in i_values
-        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())
-        if hi > lo
+        for r in _records(ctx, *_head_rows(ctx, tid, p, m, iv, d, range(ctx.order)), gammas)
     ]
-    # the pool forks all its processes at once, so start no more than can run
-    procs = min(workers, len(jobs), os.cpu_count() or 1)
-    if procs <= 1:
-        return [r for job in jobs for r in _job(job, ctx)]
-    with ProcessPoolExecutor(max_workers=procs) as pool:
-        return [r for chunk in pool.map(_job, jobs) for r in chunk]
 
 
 def disagreements(records: list[SweepRecord]) -> list[SweepRecord]:
@@ -211,5 +188,5 @@ def check_single(
 ) -> SweepRecord:
     """The record of one (delta, gamma), computed by the sweep's own engine."""
     ctx = theorem_context(tid, p, m, u, i, d, delta, gamma)
-    [record] = _job((tid, p, m, u, i, d, (delta,), (gamma,)), ctx)
+    [record] = _records(ctx, *_head_rows(ctx, tid, p, m, i, d, (delta,)), (gamma,))
     return record

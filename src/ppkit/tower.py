@@ -8,7 +8,7 @@ enc(c0) + q * enc(c1).
 
 from __future__ import annotations
 
-from .errors import DependentBasis, InvalidParam, LeftBaseField, SingularGram
+from .errors import InvalidParam, LeftBaseField
 from .gf import ArithCtx, ArithElem, FieldCtx, FieldElem, find_special, power_class, trace_sum
 
 
@@ -148,37 +148,6 @@ def valid_us(base: FieldCtx) -> list[int]:
     if base.p == 2:
         return [e for e in range(base.q) if trace_sum(base, e, 2, base.m) == 1]
     return [e for e in range(1, base.q) if not power_class(base, e, 2)]
-
-
-def dual_basis(
-    t: TowerCtx, basis: tuple[TowerElem, TowerElem]
-) -> tuple[TowerElem, TowerElem]:
-    """Dual basis w.r.t. the trace form, via the 2x2 Gram system over F_q."""
-    a1, a2 = basis
-    # linear independence: a1*x = a2 solvable in F_q means dependence
-    if a1.enc == 0 or a2.enc == 0:
-        raise DependentBasis("zero vector supplied")
-    ratio = t.mul(a2.enc, t.inv(a1.enc))
-    if ratio % t.q == ratio:  # ratio lies in the base field
-        raise DependentBasis("basis vectors are F_q-proportional")
-    b = t.base
-    g = [[t.trace(t.mul(x.enc, y.enc)) for y in basis] for x in basis]
-    det = b.sub(b.mul(g[0][0], g[1][1]), b.mul(g[0][1], g[1][0]))
-    if det == 0:
-        raise SingularGram("trace Gram matrix is singular")
-    dinv = b.inv(det)
-    # inverse of the symmetric 2x2 Gram matrix
-    inv = [
-        [b.mul(dinv, g[1][1]), b.neg(b.mul(dinv, g[0][1]))],
-        [b.neg(b.mul(dinv, g[1][0])), b.mul(dinv, g[0][0])],
-    ]
-    duals = []
-    for j in range(2):
-        acc = 0
-        for k in range(2):
-            acc = t.add(acc, t.mul(t.embed(inv[j][k]), basis[k].enc))
-        duals.append(TowerElem(t, acc))
-    return duals[0], duals[1]
 
 
 def proof_substitution(t: TowerCtx, delta: TowerElem, y: FieldElem, z: FieldElem) -> TowerElem:

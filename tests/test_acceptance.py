@@ -5,12 +5,15 @@ stated random sample sizes) and prints a single PASS/FAIL line so the
 results are visible in the terminal run log.
 """
 
+import inspect
 import itertools
 import random
+import re
 import sys
 
 import pytest
 
+from ppkit import criteria
 from ppkit.criteria import (
     h_permutes_subfield,
     predict,
@@ -39,6 +42,7 @@ from ppkit.gf import build_field
 from ppkit.oracle import is_bijection
 from ppkit.sweep import disagreements, sweep_theorem
 from ppkit.tower import build_tower, proof_substitution, valid_us
+from test_sweep import CHECK_POINTS
 
 
 def report(criterion: str, ok: bool):
@@ -57,6 +61,16 @@ SWEEP_MATRIX = (
        if not (tid == "3.13" and m == 1)]  # no i lies in [1, m) when m = 1
 )
 
+# the largest n = e_q + e_1 of each theorem's registered exponents: on F_q,
+# z^q = z changes the z-component only where some n >= q, so a folded or
+# voided note at a larger q is a wrong stated case, not exponent folding
+FOLD_BOUND = {
+    tid: max(map(sum, info.terms)) for tid, info in THEOREMS.items()
+    if info.terms and not info.needs_i
+}
+# every stated case: the labels of the Verdict(True, ...) returns in criteria.py
+CASE_LABELS = set(re.findall(r'Verdict\(True, "([^"]+)"', inspect.getsource(criteria)))
+
 
 def test_criterion_1_exhaustive_sweeps():
     configs = [(tid, p, m, {}) for tid, p, m in SWEEP_MATRIX]
@@ -72,13 +86,27 @@ def test_criterion_1_exhaustive_sweeps():
     for p, m in [(2, 1), (2, 2), (2, 3)]:
         configs += [("3.19", p, m, {"u": u}) for u in valid_us(build_field(p, m))]
     configs += [("4.1", 2, m, {"d": d}) for m in (2, 3) for d in (1, 3)]
-    bad, empty = [], []
+    bad, empty, folded, matched = [], [], [], set()
     for tid, p, m, kw in configs:
         recs = sweep_theorem(tid, p, m, **kw)
         if not recs:  # a configuration without records would pass vacuously
             empty.append((tid, p, m, kw))
         bad.extend(disagreements(recs))
-    report("criterion 1 (exhaustive sweeps, prediction == oracle)", not bad and not empty)
+        folded.extend(
+            r for r in recs
+            if r.note in (criteria.FOLDED, criteria.VOIDED) and r.p**r.m > FOLD_BOUND.get(r.tid, 0)
+        )
+        matched.update(r.matched_case for r in recs)
+    # a stated case that no sweep above reaches is matched at a named point,
+    # which test_check_single_beyond_q64 checks against the oracle
+    for (p, m), points in CHECK_POINTS.items():
+        tower = build_tower(build_field(p, m))
+        matched.update(predict(tid, tower, delta, gamma).matched_case for tid, delta, gamma in points)
+    unmatched = CASE_LABELS - matched
+    report(
+        "criterion 1 (exhaustive sweeps, prediction == oracle)",
+        not bad and not empty and not folded and CASE_LABELS and not unmatched,
+    )
 
 
 def test_criterion_2_reference_value_tables():

@@ -3,12 +3,11 @@ import random
 import numpy as np
 import pytest
 
-from ppkit.errors import DependentBasis, LeftBaseField, MixedContexts
+from ppkit.errors import LeftBaseField, MixedContexts
 from ppkit.gf import _CTX_TOKEN, FieldCtx, build_field
 from ppkit.tower import (
     TowerElem,
     build_tower,
-    dual_basis,
     proof_substitution,
     valid_us,
 )
@@ -204,19 +203,6 @@ def test_elem_ops_and_embedding():
     with pytest.raises(MixedContexts):
         _ = x + other.elem(1)
     assert T.elem(T.from_coords(x.c0.enc, x.c1.enc)) == x
-
-
-def test_dual_basis_trace_orthogonality():
-    T = build_tower(build_field(3, 2))
-    basis = (T.elem(1), T.alpha)
-    d1, d2 = dual_basis(T, basis)
-    for i, b in enumerate(basis):
-        for j, d in enumerate((d1, d2)):
-            assert T.trace(T.mul(b.enc, d.enc)) == (1 if i == j else 0)
-    with pytest.raises(DependentBasis):
-        dual_basis(T, (T.elem(1), T.elem(2)))  # both in F_q
-    with pytest.raises(DependentBasis):
-        dual_basis(T, (T.elem(0), T.alpha))
 
 
 @pytest.mark.parametrize("p,m", TOWERS)
