@@ -204,7 +204,7 @@ def _cmd_directions(args) -> int:
         "complementary": report.complementary,
         "sizes_sum_to_field": report.sizes_sum_to_field,
     }
-    if gamma:
+    if args.gamma is not None:  # an explicit 0 asks whether f itself permutes
         out["gamma_permutes"] = gamma in report.permuting
     print(json.dumps(out, indent=2))
     return EXIT_OK if report.complementary else EXIT_DISAGREE

@@ -212,8 +212,11 @@ class FieldElem(ArithElem):
 class ArithCtx:
     """Encoding-level arithmetic shared by FieldCtx and TowerCtx.
 
-    A subclass sets elem_type and provides add, neg and mul; the rest,
-    including the vector arithmetic, is derived from those.
+    A subclass sets elem_type and provides mul only.  The scalar add, sub and
+    neg act digit by digit mod p on the p-adic digits of the encoding (a
+    tower's encoding is its coordinates' digits), reading no table, so they
+    stay an independent check of add_vec; the rest, including the vector
+    arithmetic, is derived from those and mul.
     """
 
     def __init__(self, p: int, order: int):
@@ -233,8 +236,32 @@ class ArithCtx:
         """Embedding of the integer n (image of n * 1)."""
         return n % self.p
 
+    def add(self, x: int, y: int) -> int:
+        p = self.p
+        if self.order == p:
+            return (x + y) % p
+        out, place = 0, 1
+        while x or y:
+            out += (x % p + y % p) % p * place
+            x //= p
+            y //= p
+            place *= p
+        return out
+
     def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.neg(y))
+        p = self.p
+        if self.order == p:
+            return (x - y) % p
+        out, place = 0, 1
+        while x or y:
+            out += (x % p - y % p) % p * place
+            x //= p
+            y //= p
+            place *= p
+        return out
+
+    def neg(self, x: int) -> int:
+        return self.sub(0, x)
 
     def inv(self, x: int) -> int:
         if x == 0:
@@ -388,31 +415,6 @@ class FieldCtx(ArithCtx):
         return c + (0,) * (self.m - len(c))
 
     # -- integer-encoding arithmetic ----------------------------------------
-
-    def add(self, x: int, y: int) -> int:
-        p = self.p
-        if self.m == 1:
-            return (x + y) % p
-        out = 0
-        mult = 1
-        for _ in range(self.m):
-            out += (x % p + y % p) % p * mult
-            x //= p
-            y //= p
-            mult *= p
-        return out
-
-    def neg(self, x: int) -> int:
-        p = self.p
-        if self.m == 1:
-            return (-x) % p
-        out = 0
-        mult = 1
-        for _ in range(self.m):
-            out += (-x % p) % p * mult
-            x //= p
-            mult *= p
-        return out
 
     def mul(self, x: int, y: int) -> int:
         exp = self._exp_list

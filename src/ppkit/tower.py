@@ -66,17 +66,6 @@ class TowerCtx(ArithCtx):
 
     # -- integer-encoding arithmetic ------------------------------------------
 
-    def add(self, x: int, y: int) -> int:
-        b = self.base
-        x0, x1 = self.split(x)
-        y0, y1 = self.split(y)
-        return self.from_coords(b.add(x0, y0), b.add(x1, y1))
-
-    def neg(self, x: int) -> int:
-        b = self.base
-        x0, x1 = self.split(x)
-        return self.from_coords(b.neg(x0), b.neg(x1))
-
     def mul(self, x: int, y: int) -> int:
         b = self.base
         x0, x1 = self.split(x)

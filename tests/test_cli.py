@@ -12,7 +12,9 @@ import ppkit
 from ppkit import families
 from ppkit.cli import _resolve_delta, build_parser, main
 from ppkit.errors import PPKitError
+from ppkit.families import eval_family, family_for_theorem
 from ppkit.gf import build_field
+from ppkit.oracle import is_bijection
 from ppkit.tower import build_tower
 
 
@@ -126,6 +128,23 @@ def test_directions(capsys):
     rep = json.loads(out)
     assert rep["complementary"] is True
     assert rep["direction_count"] + rep["permuting_count"] == 9
+
+
+@pytest.mark.parametrize(
+    "p,m,theorem,delta",
+    [(3, 1, "3.2", 5), (5, 1, "3.14", 7), (2, 2, "3.19", 9)],
+)
+def test_directions_answers_gamma_0(capsys, p, m, theorem, delta):
+    argv = ["directions", "--p", str(p), "--m", str(m), "--theorem", theorem,
+            "--delta", str(delta)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and "gamma_permutes" not in json.loads(out)
+    code, out, _ = run_cli(capsys, *argv, "--gamma", "0")
+    assert code == 0
+    tower = build_tower(build_field(p, m))
+    spec = family_for_theorem(theorem, delta, 0)
+    want = is_bijection(lambda x: eval_family(spec, tower, x).enc, tower.order)
+    assert json.loads(out)["gamma_permutes"] is want.is_permutation
 
 
 @pytest.mark.parametrize(

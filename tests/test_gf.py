@@ -1,3 +1,4 @@
+import operator
 import os
 
 import pytest
@@ -15,6 +16,7 @@ from ppkit.errors import (
 from ppkit.cli import main
 from ppkit.gf import (
     FieldCtx,
+    _poly_to_enc,
     build_field,
     find_special,
     power_class,
@@ -79,6 +81,21 @@ def test_field_axioms(data):
     assert F.add(x, F.neg(x)) == 0
     if x != 0:
         assert F.mul(x, F.inv(x)) == 1
+
+
+# m = 1 is the prime-field branch, where the reference is (x +- y) % p
+@pytest.mark.parametrize("p,m", [(7, 1), (13, 1), (2, 3), (3, 2), (5, 2), (3, 3)])
+def test_add_sub_neg_act_on_coefficients(p, m):
+    F = build_field(p, m)
+
+    def coefficient_wise(op, x, y):
+        return _poly_to_enc([op(a, b) % p for a, b in zip(F.coeffs(x), F.coeffs(y))], p)
+
+    for x in range(F.q):
+        assert F.neg(x) == F.sub(0, x) == coefficient_wise(operator.sub, 0, x)
+        for y in range(F.q):
+            assert F.add(x, y) == coefficient_wise(operator.add, x, y)
+            assert F.sub(x, y) == coefficient_wise(operator.sub, x, y)
 
 
 @pytest.mark.parametrize("p,m", [(3, 2), (2, 3), (5, 1)])

@@ -47,6 +47,23 @@ def test_field_axioms_on_tower(p, m):
             assert T.add(x, y) == T.add(y, x)
 
 
+@pytest.mark.parametrize("p,m", [(3, 1), (2, 2), (2, 3), (3, 2)])
+def test_add_sub_neg_act_on_coordinates(p, m):
+    T = build_tower(build_field(p, m))
+    b = T.base
+
+    def coordinate_wise(op, x, y):
+        (x0, x1), (y0, y1) = T.split(x), T.split(y)
+        return T.from_coords(op(x0, y0), op(x1, y1))
+
+    for x in range(T.order):
+        x0, x1 = T.split(x)
+        assert T.neg(x) == T.sub(0, x) == T.from_coords(b.neg(x0), b.neg(x1))
+        for y in range(T.order):
+            assert T.add(x, y) == coordinate_wise(b.add, x, y)
+            assert T.sub(x, y) == coordinate_wise(b.sub, x, y)
+
+
 def test_trace_norm_values():
     T = build_tower(build_field(3, 1))
     for x in range(9):
@@ -87,8 +104,11 @@ def _table_ctx(kind, p, m):
         pytest.param("tower", 5, 1, None, id="5-1"),
         pytest.param("tower", 2, 2, None, id="2-2"),
         pytest.param("tower", 3, 2, 40, id="3-2"),
+        pytest.param("tower", 2, 3, None, id="tower-2-3"),
         pytest.param("flat", 2, 4, None, id="flat-2-4"),
         pytest.param("flat", 2, 9, 12, id="flat-2-9"),
+        pytest.param("flat", 3, 3, None, id="flat-3-3"),
+        pytest.param("flat", 5, 2, None, id="flat-5-2"),
     ],
 )
 def test_tables_match_scalar_ops(kind, p, m, rows):
