@@ -24,6 +24,7 @@ from .errors import (
     MixedContexts,
     NoIrreducibleFound,
     NotPrime,
+    PPKitError,
     WrongCharacteristic,
 )
 
@@ -293,7 +294,8 @@ class ArithCtx:
     def tables(self):
         """(exp, log), plus (spread, unspread, spread[exp]) for odd p; int64 vectors.
 
-        exp lists g^k for the least primitive g (walked with the scalar mul)
+        exp lists g^k for the least primitive g (walked with the scalar mul,
+        at most n - 1 steps per candidate; PPKitError if none is primitive)
         twice over, then a zero tail; log inverts it and log[0] points into
         the tail, so exp[log x + log y] = x * y for all x, y.  spread writes
         the p-adic digits of an encoding (tower encodings included) in base
@@ -308,11 +310,13 @@ class ArithCtx:
                 raise DegreeTooLarge(f"order {n} exceeds bound {max_field_size()}")
             for g in range(1, n):  # stops at the least primitive element
                 powers, x = [1], g
-                while x != 1:
+                while x != 1 and len(powers) < n:  # at most n - 1 steps
                     powers.append(x)
                     x = self.mul(x, g)
-                if len(powers) == n - 1:
+                if len(powers) == n - 1:  # then x == 1: g has order n - 1
                     break
+            else:  # only a wrong scalar mul gets here
+                raise PPKitError(f"no element of {self!r} generates its {n - 1} units")
             self._exp = np.array(powers * 2 + [0] * (2 * n - 1), dtype=np.int64)
             self._log = np.full(n, 2 * n - 2, dtype=np.int64)  # 0 -> the zero tail
             self._log[powers] = np.arange(n - 1)

@@ -13,8 +13,7 @@ import contextlib
 import csv
 import io
 import json
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -24,8 +23,13 @@ from .gf import subfield_order
 from .oracle import images_permute
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
+    """The verdicts on one (delta, gamma): a head, the point, a verdict.
+
+    A named tuple, so the head (tid, p, m, u, i, d) is record[:6] and the
+    verdict (predicted, matched_case, oracle, agree, note) is record[8:].
+    """
+
     tid: str
     p: int
     m: int
@@ -41,7 +45,7 @@ class SweepRecord:
     note: Optional[str] = None
 
     def serialize(self) -> dict:
-        return dict(vars(self))
+        return self._asdict()
 
 
 def _trace_rows(field, d: int):
@@ -59,7 +63,9 @@ def _trace_rows(field, d: int):
 def _records(ctx, head: tuple, rows, gammas) -> list[SweepRecord]:
     """The records of each row (delta, acc, lin) at each gamma; f = acc + gamma * lin.
 
-    head is the records' (tid, p, m, u, i, d).  No other code makes a SweepRecord.
+    head is the records' (tid, p, m, u, i, d).  Each record is made in one
+    call, SweepRecord._make of the flat tuple of its 13 fields; no other code
+    makes a SweepRecord.
     A row's image vectors are gathered a block of gammas at a time (line_rows),
     but the oracle still runs on every record, one vector at a time; predict
     computes one verdict per (i, trace class of delta, gamma) and returns it
@@ -67,17 +73,15 @@ def _records(ctx, head: tuple, rows, gammas) -> list[SweepRecord]:
     """
     tid, _, _, _, i, d = head
     ctx.tables()
-    records = []
+    records, make = [], SweepRecord._make
     with criteria.one_verdict_per_class():
         for delta, acc, lin in rows:
             for gamma, images in zip(gammas, ctx.line_rows(acc, lin, gammas), strict=True):
                 pp = images_permute(images, ctx.order)
                 v = criteria.predict(tid, ctx, delta, gamma, i=i, d=d)
                 records.append(
-                    SweepRecord(
-                        *head, delta, gamma, v.predicted, v.matched_case, pp,
-                        v.predicted == pp, v.notes,
-                    )
+                    make((*head, delta, gamma, v.predicted, v.matched_case, pp,
+                          v.predicted == pp, v.notes))
                 )
     return records
 
@@ -133,7 +137,7 @@ def summarize(records: list[SweepRecord]) -> dict:
     }
 
 
-_FIELDS = list(SweepRecord.__dataclass_fields__)
+_FIELDS = list(SweepRecord._fields)
 _HEAD, _VERDICT = _FIELDS[:6], _FIELDS[8:]  # the fields before delta, after gamma
 
 
@@ -169,8 +173,7 @@ def write_records(records: list[SweepRecord], out, fmt: str = "jsonl"):
         write = stream.write
         write(header)
         for r in records:
-            h = (r.tid, r.p, r.m, r.u, r.i, r.d)
-            v = (r.predicted, r.matched_case, r.oracle, r.agree, r.note)
+            h, v = r[:6], r[8:]
             hs = heads.get(h) or heads.setdefault(h, head(h))
             vs = verdicts.get(v) or verdicts.setdefault(v, verdict(v))
             write(f"{hs}{r.delta}{mid}{r.gamma}{vs}")

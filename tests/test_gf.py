@@ -11,10 +11,12 @@ from ppkit.errors import (
     InvalidParam,
     MixedContexts,
     NotPrime,
+    PPKitError,
     WrongCharacteristic,
 )
 from ppkit.cli import main
 from ppkit.gf import (
+    _CTX_TOKEN,
     FieldCtx,
     _poly_to_enc,
     build_field,
@@ -115,6 +117,17 @@ def test_division_by_zero():
     with pytest.raises(DivisionByZero):
         F.div(3, 0)
 
+
+@pytest.mark.parametrize("p,m", [(5, 1), (3, 2)])
+def test_tables_raise_when_no_element_is_primitive(p, m):
+    # a fresh field, not the cached one, whose scalar mul is wrong: x * y = x.
+    # Each candidate's walk must stop after n - 1 steps, and no candidate is
+    # primitive, so tables() raises instead of looping or using the last walk
+    ctx = FieldCtx(p, m, _token=_CTX_TOKEN)
+    ctx.mul = lambda x, y: x
+    with pytest.raises(PPKitError, match="generates"):
+        ctx.tables()
+    assert ctx._tables is None
 
 def test_elem_operators_and_mixed_contexts():
     F = build_field(3, 2)

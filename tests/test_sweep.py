@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import hashlib
 import io
 import itertools
@@ -9,6 +8,7 @@ import random
 import pytest
 
 from ppkit import criteria, gf, sweep
+from ppkit.cli import main
 from ppkit.criteria import predict
 from ppkit.errors import MissingParam, WrongCharacteristic
 from ppkit.families import THEOREMS, eval_family, family_for_theorem, theorem_context, theorem_info
@@ -101,6 +101,43 @@ def test_check_single():
     assert rec.agree
 
 
+
+RECORD_FIELDS = (
+    "tid", "p", "m", "u", "i", "d", "delta", "gamma",
+    "predicted", "matched_case", "oracle", "agree", "note",
+)
+
+
+def test_record_fields_and_immutability():
+    rec = check_single("3.14", 3, 1, delta=0, gamma=0)  # a probe record, with a note
+    assert rec.note
+    assert SweepRecord._fields == RECORD_FIELDS
+    assert tuple(rec.serialize()) == RECORD_FIELDS
+    assert SweepRecord(**rec.serialize()) == rec
+    assert rec == tuple(rec.serialize().values())
+    assert SweepRecord(*rec[:-1]).note is None
+    with pytest.raises(AttributeError):
+        rec.agree = False
+
+
+# sha256 of `ppkit check` stdout, as printed when a record was a frozen dataclass
+CHECK_STDOUT = {
+    "odd-tower": ("--p 5 --m 2 --theorem 3.6 --delta 10 --gamma 7",
+                  "2042a8a5f4099e324f2b018630be361c87a4e7cd6db5f57bbdfd11604cc1e52e"),
+    "odd-tower-probe": ("--p 3 --m 1 --theorem 3.14 --delta 0 --gamma 0",
+                        "adf8377a536a259361ae63771f8618c1e896bd14b866750000f94be1f6bc6264"),
+    "even-tower": ("--p 2 --m 3 --theorem 3.19 --u 3 --delta 5 --gamma 9",
+                   "602953b83a02e078b43ea416dc17169258c65c0b6d86bf75b61297846dfc48d6"),
+    "4.1-flat": ("--p 2 --m 2 --theorem 4.1 --d 3 --gamma 5",
+                 "abb5fa50a04aa93c89dea31135faa4909a927fdb27169fb2b55ebabbdd631a67"),
+}
+
+
+@pytest.mark.parametrize("argv,want", CHECK_STDOUT.values(), ids=list(CHECK_STDOUT))
+def test_check_stdout_is_pinned(capsys, argv, want):
+    assert main(["check", *argv.split()]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want
+
 @pytest.mark.parametrize(
     "args, kw",
     [
@@ -183,8 +220,8 @@ def test_wrong_parity_is_a_wrong_characteristic():
 
 def test_disagreements_exempt_only_hypothesis_violations():
     rec = check_single("3.14", 3, 1, delta=0, gamma=1)
-    folded = dataclasses.replace(rec, agree=False, note="permutes only after exponent folding")
-    probe = dataclasses.replace(rec, agree=False, note="hypothesis-violated: gamma = 0")
+    folded = rec._replace(agree=False, note="permutes only after exponent folding")
+    probe = rec._replace(agree=False, note="hypothesis-violated: gamma = 0")
     assert disagreements([rec, folded, probe]) == [folded]
 
 
@@ -249,7 +286,7 @@ def _reference_lines(records, fmt):
         for r in records:
             buf.write(json.dumps(r.serialize()) + "\n")
     else:
-        writer = csv.DictWriter(buf, fieldnames=list(SweepRecord.__dataclass_fields__))
+        writer = csv.DictWriter(buf, fieldnames=list(SweepRecord._fields))
         writer.writeheader()
         for r in records:
             writer.writerow(r.serialize())
