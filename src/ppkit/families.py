@@ -335,13 +335,27 @@ class ComponentTable:
             powers.append(row)
 
         def table(coeffs):
+            by_dy: dict[int, list] = {}
+            for (dy, dz), c in coeffs.items():
+                by_dy.setdefault(dy, []).append((dz, c))
+            # g(y, z) = sum over dy of y^dy * c_dy(z), with c_dy(z) = sum over dz
+            # of c * z^dz tabulated once per z
+            parts = []
+            for dy, terms in by_dy.items():
+                col = []
+                for pz in powers:
+                    acc = 0
+                    for dz, c in terms:
+                        acc = add(acc, mul(c, pz[dz]))
+                    col.append(acc)
+                parts.append((dy, col))
             rows = []
             for py in powers:
                 row = []
-                for pz in powers:
+                for z in range(b.q):
                     acc = 0
-                    for (dy, dz), c in coeffs.items():
-                        acc = add(acc, mul(c, mul(py[dy], pz[dz])))
+                    for dy, col in parts:
+                        acc = add(acc, mul(py[dy], col[z]))
                     row.append(acc)
                 rows.append(row)
             return rows

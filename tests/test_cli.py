@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -128,6 +129,31 @@ def test_directions(capsys):
     rep = json.loads(out)
     assert rep["complementary"] is True
     assert rep["direction_count"] + rep["permuting_count"] == 9
+
+
+# sha256 of `ppkit directions` stdout, as printed when direction_set made two
+# scalar adds per (x, h)
+DIRECTIONS_STDOUT = {
+    "F3^2": ("--p 3 --m 1 --theorem 3.14 --delta 0 --gamma 1",
+             "3eda1122d67e603e81974860dca2944759e492402f700bbb47f6204e2bb00a49"),
+    "F5^2": ("--p 5 --m 1 --theorem 3.14 --delta 1 --gamma 3",
+             "cf74ce7c70ed4700c5a9dbda1d21cbf72375c7056f51f275116fa499d3368224"),
+    "F7^2": ("--p 7 --m 1 --theorem 3.14 --delta 30 --gamma 4",
+             "9ee6930f8943abbddf59b0eb6764b0d6581ec1eb5755077b7929851524b541d5"),
+    "F7^2-3.13": ("--p 7 --m 1 --u 3 --theorem 3.13 --i 1 --delta 5 --gamma 2",
+                  "db6c97b56dc0b84cf8ba26d1fc8ce93c1467fc5c23fb0be9ec367afd6aba8621"),
+    "F4^2": ("--p 2 --m 2 --theorem 3.19 --delta 9 --gamma 5",
+             "41103ea52c2cd94c9ea8a0adc844bf1e60ee7acc0a5b4c3e101bd58f020a7994"),
+    "F25^2": ("--p 5 --m 2 --theorem 3.2 --delta 31 --gamma 3",
+              "346147ff5bcfec250ce3c50f0ff146d30c16fef5c501169cf966396abeed1716"),
+}
+
+
+@pytest.mark.parametrize("argv,want", DIRECTIONS_STDOUT.values(), ids=list(DIRECTIONS_STDOUT))
+def test_directions_stdout_is_pinned(capsys, argv, want):
+    code, out, _ = run_cli(capsys, "directions", *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
 @pytest.mark.parametrize(

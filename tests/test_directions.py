@@ -110,8 +110,10 @@ def test_size_guard():
         build_field(3, 2),
         build_tower(build_field(3, 1)),
         build_tower(build_field(2, 2)),
+        build_tower(build_field(5, 1)),
+        build_tower(build_field(7, 1)),
     ],
-    ids=["F8", "F9", "F3^2", "F4^2"],
+    ids=["F8", "F9", "F3^2", "F4^2", "F5^2", "F7^2"],
 )
 def test_direction_set_matches_definition(ctx):
     rng = random.Random(ctx.order)
@@ -123,6 +125,8 @@ def test_direction_set_matches_definition(ctx):
         tables.append(
             [add(add(mul(a, pw(x, ctx.p)), mul(b, pw(x, ctx.p**2))), c) for x in range(n)]
         )
+    values = rng.sample(range(n), 3)  # 3 values: each pair (f(x + h), f(x)) recurs often
+    tables.append([rng.choice(values) for _ in range(n)])
     restricts = [False, True] if isinstance(ctx, TowerCtx) else [False]
     for table in tables:
         for restrict in restricts:
@@ -132,6 +136,49 @@ def test_direction_set_matches_definition(ctx):
                 if x != y and (not restrict or ctx.split(sub(x, y))[1] == 0)  # x - y in F_q
             }
             assert direction_set(lambda x: table[x], ctx, restrict_to_base=restrict) == want
+
+
+def _fresh_tower(p: int) -> TowerCtx:
+    """A tower over F_p that shares no state with build_tower's cached one."""
+    cached = build_tower(build_field(p, 1))
+    return TowerCtx(cached.base, cached.u, cached.kind)
+
+
+def _definition(ctx, table) -> set[int]:
+    n, sub, div = ctx.order, ctx.sub, ctx.div
+    return {div(sub(table[x], table[y]), sub(x, y)) for x in range(n) for y in range(n) if x != y}
+
+
+def test_direction_set_adds_once_per_digit_and_element():
+    # |F| scalar adds per p-adic digit of the encoding build the translation
+    # rows, and the pairs are subtracted, never added: two adds per (x, h)
+    # would make 2 * 48 * 49 = 4,704
+    T = _fresh_tower(7)
+    table = random.Random(7).sample(range(T.order), T.order)
+    calls = []
+    add = T.add
+    T.add = lambda x, y: calls.append(1) or add(x, y)
+    got = direction_set(table.__getitem__, T)
+    assert len(calls) <= 2 * T.order  # F_49 encodings have 2 digits
+    del T.add
+    assert got == _definition(T, table)
+
+
+def test_direction_set_reads_no_vector_arithmetic():
+    # D(f) is the scalar side of the duality; P(f) is decided on the vector side
+    T = _fresh_tower(5)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("vector arithmetic used")
+
+    for name in dir(T):
+        if name == "tables" or name.endswith("_vec") or name.startswith("line_"):
+            setattr(T, name, refuse)
+    rng = random.Random(5)
+    values = rng.sample(range(T.order), 3)
+    for table in [rng.sample(range(T.order), T.order), [rng.choice(values) for _ in range(T.order)]]:
+        assert direction_set(table.__getitem__, T) == _definition(T, table)
+    assert T._tables is None
 
 
 @pytest.mark.parametrize(
