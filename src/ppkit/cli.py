@@ -8,6 +8,7 @@ succeeded), 2 at least one disagreement, 64 usage error, 65 domain error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -15,7 +16,7 @@ import sys
 from . import sweep as sweep_mod
 from .decompose import lemma31_extract
 from .directions import check_complementarity, direction_order
-from .errors import InvalidParam, PPKitError
+from .errors import InvalidParam, KindContextMismatch, PPKitError
 from .families import (
     closed_form_components,
     family_for_theorem,
@@ -161,21 +162,31 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK if summary["disagreements"] == 0 else EXIT_DISAGREE
 
 
+def _tower_family(args, gamma: int):
+    """The tower and the theorem's family at the point given, for decompose and
+    directions; gamma stands in for a missing --gamma.  Both work in a tower,
+    so they refuse the trace form 4.1, which lives in the flat field F_{q^d}."""
+    info = theorem_info(args.theorem)
+    if info.needs_d:
+        raise KindContextMismatch(f"{args.cmd} works in a tower F_{{q^2}}; theorem {args.theorem} lives in F_{{q^d}}")
+    tower = build_tower(build_field(args.p, args.m), u=args.u)
+    info.check(tower, args.i, args.d, args.u)
+    delta = tower.elem(_resolve_delta(tower, args)).enc
+    gamma = tower.elem(args.gamma if args.gamma is not None else gamma).enc
+    return tower, family_for_theorem(args.theorem, delta, gamma, i=args.i)
+
+
 def _cmd_decompose(args) -> int:
-    tower = build_tower(build_field(args.p, args.m), u=args.u)  # a tower even for 4.1, which the check refuses
-    theorem_info(args.theorem).check(tower, args.i, args.d, args.u)
-    delta = tower.elem(_resolve_delta(tower, args))
-    gamma = tower.elem(args.gamma if args.gamma is not None else 1)
-    spec = family_for_theorem(args.theorem, delta.enc, gamma.enc, i=args.i, d=args.d)
+    tower, spec = _tower_family(args, gamma=1)
     extracted = lemma31_extract(spec, tower)
-    closed = closed_form_components(args.theorem, tower, delta, gamma, i=args.i)
+    closed = closed_form_components(args.theorem, tower, tower.elem(spec.delta), tower.elem(spec.gamma), i=args.i)
     match = closed.same_values(extracted)
     print(
         json.dumps(
             {
                 "theorem": args.theorem,
-                "delta": delta.enc,
-                "gamma": gamma.enc,
+                "delta": spec.delta,
+                "gamma": spec.gamma,
                 "closed_form": closed.serialize(),
                 "extracted": extracted.serialize(),
                 "values_match": match,
@@ -187,25 +198,21 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_directions(args) -> int:
-    tower = build_tower(build_field(args.p, args.m), u=args.u)  # a tower even for 4.1, which the check refuses
-    theorem_info(args.theorem).check(tower, args.i, args.d, args.u)
-    delta = tower.elem(_resolve_delta(tower, args)).enc
-    gamma = tower.elem(args.gamma if args.gamma is not None else 0).enc
-    # duality is checked for the family with its linear part removed
-    spec = family_for_theorem(args.theorem, delta, 0, i=args.i, d=args.d)
+    tower, spec = _tower_family(args, gamma=0)
     direction_order(tower)  # the size guard, before the tower's tables are built
-    images = family_images(spec, tower)
+    # duality is checked for the family with its linear part removed
+    images = family_images(dataclasses.replace(spec, gamma=0), tower)
     report = check_complementarity(images.tolist().__getitem__, tower)
     out = {
         "theorem": args.theorem,
-        "delta": delta,
+        "delta": spec.delta,
         "direction_count": len(report.directions),
         "permuting_count": len(report.permuting),
         "complementary": report.complementary,
         "sizes_sum_to_field": report.sizes_sum_to_field,
     }
     if args.gamma is not None:  # an explicit 0 asks whether f itself permutes
-        out["gamma_permutes"] = gamma in report.permuting
+        out["gamma_permutes"] = spec.gamma in report.permuting
     print(json.dumps(out, indent=2))
     return EXIT_OK if report.complementary else EXIT_DISAGREE
 

@@ -16,7 +16,7 @@ from .errors import (
     WrongCharacteristic,
 )
 from .families import closed_form_components, theorem_info
-from .gf import FieldCtx, _check_subfield, power_class, subfield_order, trace_sum
+from .gf import FieldCtx, power_class, subfield_elements, subfield_order, trace_sum
 from .tower import TowerCtx
 
 
@@ -443,15 +443,6 @@ def _predict_41(ctx: FieldCtx, gamma: int, d: int) -> Verdict:
         if v == 0:
             return Verdict(False, "none")
     return Verdict(True, "4.1")
-
-
-def subfield_elements(ctx: FieldCtx, q: int) -> list[int]:
-    """Encodings of the subfield of order q inside ctx, in increasing order:
-    0 and the subgroup of order q - 1, read off the log table."""
-    _check_subfield(ctx, q)
-    n = ctx.order
-    exp = ctx.tables()[0]
-    return sorted([0] + exp[0 : n - 1 : (n - 1) // (q - 1)].tolist())
 
 
 def reduce_trace_composed(g_coeffs, field: FieldCtx, n: int) -> list[int]:

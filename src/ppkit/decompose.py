@@ -87,25 +87,23 @@ class DecompositionConfig:
             self.b_vec = (0,) * n
         pf = build_field(self.field.p, 1)
         self._pf = pf
-        self._A_inv = mat_inv(pf, self.A)  # raises SingularMatrix if degenerate
+        mat_inv(pf, self.A)  # raises SingularMatrix if degenerate
         self._B_inv = mat_inv(pf, self.B)
-        self._in_mat = _basis_matrix(self.field, self.in_basis)
-        self._out_mat = _basis_matrix(self.field, self.out_basis)
-        self._out_inv = mat_inv(pf, self._out_mat)
+        self._in_mat, _ = _basis_matrix(self.field, self.in_basis)
+        _, self._out_inv = _basis_matrix(self.field, self.out_basis)
 
 
-def _basis_matrix(ctx: FieldCtx, basis) -> list[list[int]]:
-    """Columns are the coefficient vectors of the basis elements."""
+def _basis_matrix(ctx: FieldCtx, basis) -> tuple[list[list[int]], list[list[int]]]:
+    """Columns are the coefficient vectors of the basis elements; with its inverse."""
     n = ctx.m
     if len(basis) != n:
         raise DependentBasis(f"need {n} basis elements, got {len(basis)}")
     cols = [list(ctx.coeffs(b.enc)) for b in basis]
     M = [[cols[j][i] for j in range(n)] for i in range(n)]
     try:
-        mat_inv(build_field(ctx.p, 1), M)
+        return M, mat_inv(build_field(ctx.p, 1), M)
     except SingularMatrix:
         raise DependentBasis("basis elements are linearly dependent") from None
-    return M
 
 
 def component_map(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -90,10 +90,9 @@ def _check_delta_power(spec: FamilySpec, ctx) -> None:
         raise KindContextMismatch(f"{spec.kind} is not a delta-power family")
     if not isinstance(ctx, TowerCtx):
         raise KindContextMismatch("delta-power families need a TowerCtx")
-    if spec.kind == "delta_power" and ctx.kind != "odd":
-        raise KindContextMismatch("delta_power requires odd characteristic")
-    if spec.kind == "even_delta_power" and ctx.kind != "even":
-        raise KindContextMismatch("even_delta_power requires even characteristic")
+    parity = "odd" if spec.kind == "delta_power" else "even"
+    if ctx.kind != parity:
+        raise KindContextMismatch(f"{spec.kind} requires {parity} characteristic")
 
 
 def eval_family(spec: FamilySpec, ctx, x):
@@ -174,7 +173,7 @@ def delta_power_rows(spec: FamilySpec, tower: TowerCtx, deltas):
 def family_images(spec: FamilySpec, tower: TowerCtx) -> np.ndarray:
     """f(x) for every encoding x, at spec's delta and gamma, as one int64 vector."""
     [(_, acc, lin)] = delta_power_rows(spec, tower, (spec.delta,))
-    return tower.line_vec(acc, lin)(spec.gamma)
+    return next(tower.line_rows(acc, lin, (spec.gamma,)))
 
 
 # ---------------------------------------------------------------------------
@@ -184,14 +183,20 @@ def family_images(spec: FamilySpec, tower: TowerCtx) -> np.ndarray:
 @dataclass(frozen=True)
 class TheoremInfo:
     tid: str
-    char: str  # "odd" | "even"
     kind: str
     terms: tuple
     linear_kind: str
     gamma_domain: str  # "Fq_star" | "Fq2_star" | "Fqd"
-    needs_i: bool = False
-    needs_d: bool = False
-    has_closed_form: bool = False
+    has_closed_form: bool = True
+    # decided by kind and terms; plain attributes, as check reads them on every predict call
+    char: str = field(init=False)  # "odd" | "even": the parity of q
+    needs_i: bool = field(init=False)  # an exponent q + p^i
+    needs_d: bool = field(init=False)  # the trace form over F_{q^d}
+
+    def __post_init__(self):
+        object.__setattr__(self, "char", "odd" if self.kind == "delta_power" else "even")
+        object.__setattr__(self, "needs_i", any(t[0] == "ppow" for t in self.terms))
+        object.__setattr__(self, "needs_d", self.kind == "trace_form")
 
     def exponents(self, i=None) -> tuple:
         """The registered terms, with i put into ("ppow", i)."""
@@ -235,26 +240,26 @@ class TheoremInfo:
 THEOREMS: dict[str, TheoremInfo] = {
     t.tid: t
     for t in [
-        TheoremInfo("3.1", "odd", "delta_power", ((1, 2),), "x", "Fq2_star", has_closed_form=True),
-        TheoremInfo("3.2", "odd", "delta_power", ((0, 2),), "x", "Fq2_star"),
-        TheoremInfo("3.3", "odd", "delta_power", ((2, 0),), "x", "Fq2_star"),
-        TheoremInfo("3.4", "odd", "delta_power", ((1, 2), (2, 1)), "x", "Fq2_star", has_closed_form=True),
-        TheoremInfo("3.5", "odd", "delta_power", ((1, 4), (0, 5)), "x", "Fq2_star", has_closed_form=True),
-        TheoremInfo("3.6", "odd", "delta_power", ((2, 1), (3, 2)), "x", "Fq_star", has_closed_form=True),
-        TheoremInfo("3.7", "odd", "delta_power", ((2, 3), (2, 0)), "x", "Fq_star", has_closed_form=True),
-        TheoremInfo("3.8", "odd", "delta_power", ((2, 4), (1, 5)), "x", "Fq_star", has_closed_form=True),
-        TheoremInfo("3.9", "odd", "delta_power", ((2, 4), (1, 0)), "x", "Fq_star", has_closed_form=True),
-        TheoremInfo("3.10", "odd", "delta_power", ((2, 3), (5, 0)), "x", "Fq_star", has_closed_form=True),
-        TheoremInfo("3.11", "odd", "delta_power", ((2, 4), (2, 0)), "x", "Fq_star", has_closed_form=True),
-        TheoremInfo("3.12", "odd", "delta_power", ((1, 5), (2, 0)), "x", "Fq_star", has_closed_form=True),
-        TheoremInfo("3.13", "odd", "delta_power", (("ppow", None),), "xq_plus_x", "Fq_star", needs_i=True, has_closed_form=True),
-        TheoremInfo("3.14", "odd", "delta_power", ((1, 2),), "xq_plus_x", "Fq_star", has_closed_form=True),
-        TheoremInfo("3.15", "odd", "delta_power", ((3, 2),), "xq_plus_x", "Fq_star", has_closed_form=True),
-        TheoremInfo("3.16", "odd", "delta_power", ((4, 2),), "xq_plus_x", "Fq_star", has_closed_form=True),
-        TheoremInfo("3.17", "odd", "delta_power", ((1, 3), (1, 2)), "xq_plus_x", "Fq_star", has_closed_form=True),
-        TheoremInfo("3.18", "odd", "delta_power", ((3, 2), (4, 2)), "xq_plus_x", "Fq_star", has_closed_form=True),
-        TheoremInfo("3.19", "even", "even_delta_power", ((2, 1),), "x", "Fq2_star", has_closed_form=True),
-        TheoremInfo("4.1", "even", "trace_form", (), "x", "Fqd", needs_d=True),
+        TheoremInfo("3.1", "delta_power", ((1, 2),), "x", "Fq2_star"),
+        TheoremInfo("3.2", "delta_power", ((0, 2),), "x", "Fq2_star", has_closed_form=False),
+        TheoremInfo("3.3", "delta_power", ((2, 0),), "x", "Fq2_star", has_closed_form=False),
+        TheoremInfo("3.4", "delta_power", ((1, 2), (2, 1)), "x", "Fq2_star"),
+        TheoremInfo("3.5", "delta_power", ((1, 4), (0, 5)), "x", "Fq2_star"),
+        TheoremInfo("3.6", "delta_power", ((2, 1), (3, 2)), "x", "Fq_star"),
+        TheoremInfo("3.7", "delta_power", ((2, 3), (2, 0)), "x", "Fq_star"),
+        TheoremInfo("3.8", "delta_power", ((2, 4), (1, 5)), "x", "Fq_star"),
+        TheoremInfo("3.9", "delta_power", ((2, 4), (1, 0)), "x", "Fq_star"),
+        TheoremInfo("3.10", "delta_power", ((2, 3), (5, 0)), "x", "Fq_star"),
+        TheoremInfo("3.11", "delta_power", ((2, 4), (2, 0)), "x", "Fq_star"),
+        TheoremInfo("3.12", "delta_power", ((1, 5), (2, 0)), "x", "Fq_star"),
+        TheoremInfo("3.13", "delta_power", (("ppow", None),), "xq_plus_x", "Fq_star"),
+        TheoremInfo("3.14", "delta_power", ((1, 2),), "xq_plus_x", "Fq_star"),
+        TheoremInfo("3.15", "delta_power", ((3, 2),), "xq_plus_x", "Fq_star"),
+        TheoremInfo("3.16", "delta_power", ((4, 2),), "xq_plus_x", "Fq_star"),
+        TheoremInfo("3.17", "delta_power", ((1, 3), (1, 2)), "xq_plus_x", "Fq_star"),
+        TheoremInfo("3.18", "delta_power", ((3, 2), (4, 2)), "xq_plus_x", "Fq_star"),
+        TheoremInfo("3.19", "even_delta_power", ((2, 1),), "x", "Fq2_star"),
+        TheoremInfo("4.1", "trace_form", (), "x", "Fqd", has_closed_form=False),
     ]
 }
 

@@ -25,7 +25,6 @@ from .errors import (
     NoIrreducibleFound,
     NotPrime,
     PPKitError,
-    WrongCharacteristic,
 )
 
 DEFAULT_MAX_Q = 2**16
@@ -301,7 +300,7 @@ class ArithCtx:
         the p-adic digits of an encoding (tower encodings included) in base
         2p - 1, where two spreads add without carry, and unspread, of length
         (2p - 1)^k for order p^k, reduces each digit mod p.  spread[exp] lets
-        line_vec spread a product with the same gather that forms it.  Once
+        line_rows spread a product with the same gather that forms it.  Once
         built, the scalar inv and FieldCtx.mul read exp and log.
         """
         if self._tables is None:
@@ -349,38 +348,28 @@ class ArithCtx:
             self.tables()
         return self._exp[self._log[x] + self._log[y]]
 
-    def line_vec(self, acc, lin):
-        """gamma -> acc + gamma * lin elementwise, for an int encoding gamma.
-
-        For a 1-D int array of k gammas it returns the (k, len(lin)) block
-        whose row j is the vector at gammas[j], from the same lookups in one
-        gather.  The lookups that read only acc and lin are made here, once
-        per line: a point then costs exp[log lin + log gamma] XOR acc for
-        p = 2, and unspread[spread acc + spread_exp[log lin + log gamma]] for
-        odd p.  log_col[gamma] has shape (1,) for an int and (k, 1) for an
-        array, so one expression broadcasts to either.
-        """
-        if self._tables is None:
-            self.tables()
-        log_lin, log_col = self._log[lin], self._log[:, None]
-        if self.p == 2:
-            exp = self._exp
-            return lambda gamma: acc ^ exp[log_lin + log_col[gamma]]
-        spread_acc, spread_exp, unspread = self._spread[acc], self._spread_exp, self._unspread
-        return lambda gamma: unspread[spread_acc + spread_exp[log_lin + log_col[gamma]]]
-
     def line_rows(self, acc, lin, gammas):
         """The vector acc + gamma * lin at each gamma of the sequence gammas, in order.
 
-        The vectors are gathered by line_vec a block of gammas at a time, with
-        at most _LINE_BLOCK images in a block (one gamma where a vector alone
-        is longer), and yielded as the block's rows.
+        The lookups that read only acc and lin are made once per call: a point
+        then costs exp[log lin + log gamma] XOR acc for p = 2, and
+        unspread[spread acc + spread_exp[log lin + log gamma]] for odd p.  The
+        vectors are gathered and yielded a block of at most _LINE_BLOCK images
+        at a time (one gamma where a vector alone is longer).
         """
-        at = self.line_vec(acc, lin)
-        gammas = np.asarray(gammas, dtype=np.int64)
+        if self._tables is None:
+            self.tables()
+        if self.p == 2:
+            exp = self._exp
+            at = lambda logs: acc ^ exp[logs]
+        else:
+            spread_acc, spread_exp, unspread = self._spread[acc], self._spread_exp, self._unspread
+            at = lambda logs: unspread[spread_acc + spread_exp[logs]]
+        log_lin = self._log[lin]
+        log_gammas = self._log[np.asarray(gammas, dtype=np.int64)][:, None]
         step = max(1, _LINE_BLOCK // len(lin))
-        for lo in range(0, len(gammas), step):
-            yield from at(gammas[lo:lo + step])
+        for lo in range(0, len(log_gammas), step):
+            yield from at(log_lin + log_gammas[lo:lo + step])
 
     def pow_vec(self, vec: np.ndarray, e: int) -> np.ndarray:
         """Elementwise vec**e as exp[(e * log v) mod (order - 1)]; 0**0 == 1."""
@@ -460,21 +449,24 @@ def build_field(p: int, m: int) -> FieldCtx:
 
 
 def subfield_order(ctx: FieldCtx, n: int) -> int:
-    """Order of the subfield F_sub with [ctx : F_sub] = n, or raise InvalidSubfield."""
+    """Order of the subfield F_sub with [ctx : F_sub] = n, or raise InvalidSubfield.
+
+    F_{p^m} has one subfield of order p^j for each j | m, and no other."""
     if n < 1 or ctx.m % n != 0:
         raise InvalidSubfield(f"F_{ctx.q} has no subfield of index {n}")
     return ctx.p ** (ctx.m // n)
 
 
-def _check_subfield(ctx: FieldCtx, sub: int) -> int:
-    """Return j with sub = p^j and j | m, or raise InvalidSubfield."""
-    p, j, s = ctx.p, 0, 1
-    while s < sub:
-        s *= p
-        j += 1
-    if s != sub or j == 0 or ctx.m % j != 0:
+def subfield_elements(ctx: FieldCtx, sub: int) -> list[int]:
+    """Encodings of the subfield of order sub inside ctx, in increasing order:
+    0 and the subgroup of order sub - 1, read off the log table.  An order
+    that subfield_order gives for no index raises InvalidSubfield."""
+    n = next((n for n in range(1, ctx.m + 1) if sub**n >= ctx.q), 1)  # sub^n = q at the index
+    if subfield_order(ctx, n) != sub:
         raise InvalidSubfield(f"{sub} is not a subfield order of F_{ctx.q}")
-    return j
+    order = ctx.order
+    exp = ctx.tables()[0]
+    return sorted([0] + exp[0 : order - 1 : (order - 1) // (sub - 1)].tolist())
 
 
 def trace_sum(ctx, x: int, q: int, n: int) -> int:
@@ -495,22 +487,3 @@ def power_class(ctx: FieldCtx, x: int, k: int) -> bool:
         return True
     n = ctx.order
     return ctx.pow(x, (n - 1) // math.gcd(k, n - 1)) == 1
-
-
-def find_special(ctx: FieldCtx, kind: str) -> FieldElem:
-    """Least element of the requested kind, in integer-encoding order."""
-    if kind == "non_square":
-        if ctx.q % 2 == 0:
-            raise WrongCharacteristic("non-squares require odd q")
-        for e in range(ctx.q):
-            if not power_class(ctx, e, 2):
-                return FieldElem(ctx, e)
-    elif kind == "abs_trace_one":
-        if ctx.p != 2:
-            raise WrongCharacteristic("absolute trace one requires even q")
-        for e in range(ctx.q):
-            if trace_sum(ctx, e, 2, ctx.m) == 1:
-                return FieldElem(ctx, e)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    raise NoIrreducibleFound("no qualifying element; internal bug")

@@ -1,7 +1,8 @@
 """The canonical quadratic extension F_{q^2}/F_q with basis {1, alpha}.
 
-Odd characteristic uses alpha^2 = u for the least non-square u; even
-characteristic uses alpha^2 = alpha + u for the least u of absolute trace 1.
+Odd characteristic uses alpha^2 = u for a non-square u; even characteristic
+uses alpha^2 = alpha + u for a u of absolute trace 1 (Lidl and Niederreiter,
+ch. 3).  The canonical u is the least admissible encoding.
 Elements are coordinate pairs (c0, c1) over the base field, encoded as
 enc(c0) + q * enc(c1).
 """
@@ -9,7 +10,7 @@ enc(c0) + q * enc(c1).
 from __future__ import annotations
 
 from .errors import InvalidParam, LeftBaseField
-from .gf import ArithCtx, ArithElem, FieldCtx, FieldElem, find_special, power_class, trace_sum
+from .gf import ArithCtx, ArithElem, FieldCtx, FieldElem, power_class, trace_sum
 
 
 class TowerElem(ArithElem):
@@ -39,13 +40,13 @@ class TowerCtx(ArithCtx):
 
     elem_type = TowerElem
 
-    def __init__(self, base: FieldCtx, u: int, kind: str):
+    def __init__(self, base: FieldCtx, u: int):
         super().__init__(base.p, base.q**2)
         self.base = base
         self.u = u
-        self.kind = kind  # "odd" or "even"
+        self.kind = "even" if base.p == 2 else "odd"
         self.q = base.q
-        if kind == "odd":
+        if self.kind == "odd":
             self._half = base.inv(base.scalar(2))
 
     # -- encoding ------------------------------------------------------------
@@ -59,10 +60,6 @@ class TowerCtx(ArithCtx):
     @property
     def alpha(self) -> TowerElem:
         return TowerElem(self, self.from_coords(0, 1))
-
-    def embed(self, c0: int) -> int:
-        """Encoding of the base-field element c0 inside the tower."""
-        return c0
 
     # -- integer-encoding arithmetic ------------------------------------------
 
@@ -111,32 +108,33 @@ class TowerCtx(ArithCtx):
 
 
 def build_tower(base: FieldCtx, u: int | None = None) -> TowerCtx:
-    """Canonical F_{q^2} over base; u may override the canonical special element.
+    """Canonical F_{q^2} over base, at the least admissible u unless u is given.
     One TowerCtx per base object and resolved u, so its tables are built once.
     The base field's O(q) tables are built first, so that the tower's scalar
     ops run on the base's table-backed mul; they never read the tower's own
     tables, which keeps them an independent check of those."""
     base.tables()
-    kind = "even" if base.p == 2 else "odd"
     if u is None:
-        want = "abs_trace_one" if kind == "even" else "non_square"
-        u = find_special(base, want).enc
-    else:
-        base.elem(u)  # raises InvalidParam outside [0, q)
-        if kind == "odd" and power_class(base, u, 2):
-            raise InvalidParam(f"u={u} is a square in F_{base.q}")
-        if kind == "even" and trace_sum(base, u, 2, base.m) != 1:
-            raise InvalidParam(f"u={u} has absolute trace 0")
+        u = next(e for e in range(base.q) if _admissible(base, e))
+    elif not _admissible(base, base.elem(u).enc):  # elem refuses u outside [0, q)
+        raise InvalidParam(f"u={u} has absolute trace 0" if base.p == 2 else f"u={u} is a square in F_{base.q}")
     if u not in base._towers:
-        base._towers[u] = TowerCtx(base, u, kind)
+        base._towers[u] = TowerCtx(base, u)
     return base._towers[u]
+
+
+def _admissible(base: FieldCtx, u: int) -> bool:
+    """Does u define F_{q^2}: is x^2 - u (odd q) or x^2 - x - u (q = 2^m)
+    irreducible over base?  That holds exactly when u is a non-square, or
+    has absolute trace 1."""
+    if base.p == 2:
+        return trace_sum(base, u, 2, base.m) == 1
+    return not power_class(base, u, 2)
 
 
 def valid_us(base: FieldCtx) -> list[int]:
     """All admissible u values for a tower over base, in encoding order."""
-    if base.p == 2:
-        return [e for e in range(base.q) if trace_sum(base, e, 2, base.m) == 1]
-    return [e for e in range(1, base.q) if not power_class(base, e, 2)]
+    return [e for e in range(base.q) if _admissible(base, e)]
 
 
 def proof_substitution(t: TowerCtx, delta: TowerElem, y: FieldElem, z: FieldElem) -> TowerElem:

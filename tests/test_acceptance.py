@@ -13,6 +13,7 @@ import sys
 
 import pytest
 
+import ppkit
 from ppkit import criteria
 from ppkit.criteria import (
     h_permutes_subfield,
@@ -294,3 +295,20 @@ def test_criterion_8_substitution_identities():
                         got = T.add(T.add(T.frob(x.enc), x.enc), delta)
                         ok &= got == T.from_coords(z, b)
     report("criterion 8 (substitution identities for all delta, y, z)", ok)
+
+
+PUBLIC_API = [
+    "Verdict", "cubic_norm_pp", "predict", "quintic_norm_pp", "reduce_trace_composed",
+    "t319_subfield_h", "DecompositionConfig", "component_map", "lemma31_extract",
+    "verify_equivalence", "DirectionReport", "check_complementarity", "direction_set",
+    "permuting_translate_set", "PPKitError", "ComponentTable", "FamilySpec",
+    "closed_form_components", "eval_family", "family_for_theorem", "theorem_info", "FieldCtx",
+    "FieldElem", "build_field", "OracleReport", "is_bijection", "multivar_bijection",
+    "SweepRecord", "check_single", "sweep_theorem", "write_records", "TowerCtx", "TowerElem",
+    "build_tower", "proof_substitution", "valid_us",
+]
+
+
+def test_public_api_is_pinned():
+    assert ppkit.__all__ == PUBLIC_API
+    assert all(getattr(ppkit, name) is not None for name in PUBLIC_API)

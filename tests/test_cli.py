@@ -303,6 +303,13 @@ def test_bad_point_parameters_exit_65(capsys, argv):
     assert err.startswith("ppkit: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("cmd", ["decompose", "directions"])
+def test_tower_commands_refuse_the_trace_form_by_name(capsys, cmd):
+    code, out, err = run_cli(capsys, cmd, "--p", "2", "--m", "2", "--theorem", "4.1", "--d", "1")
+    assert code == 65 and out == ""
+    assert err == f"ppkit: {cmd} works in a tower F_{{q^2}}; theorem 4.1 lives in F_{{q^d}}\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -141,7 +141,7 @@ def test_direction_set_matches_definition(ctx):
 def _fresh_tower(p: int) -> TowerCtx:
     """A tower over F_p that shares no state with build_tower's cached one."""
     cached = build_tower(build_field(p, 1))
-    return TowerCtx(cached.base, cached.u, cached.kind)
+    return TowerCtx(cached.base, cached.u)
 
 
 def _definition(ctx, table) -> set[int]:

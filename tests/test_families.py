@@ -15,6 +15,7 @@ from ppkit.errors import (
 from ppkit.families import (
     THEOREMS,
     ComponentTable,
+    TheoremInfo,
     FamilySpec,
     closed_form_components,
     delta_power_rows,
@@ -39,10 +40,17 @@ def test_instantiate_exponent():
 
 def test_registry_covers_all_theorems():
     assert len(THEOREMS) == 20
-    assert theorem_info("3.13").needs_i
-    assert theorem_info("4.1").needs_d
     with pytest.raises(UnknownTheorem):
         theorem_info("9.9")
+    # char, needs_i and needs_d follow from kind and terms
+    odd = [f"3.{k}" for k in range(1, 19)]
+    assert [t for t, info in THEOREMS.items() if info.char == "odd"] == odd
+    assert all(THEOREMS[t].char == "even" for t in ("3.19", "4.1"))
+    assert [t for t, info in THEOREMS.items() if info.needs_i] == ["3.13"]
+    assert [t for t, info in THEOREMS.items() if info.needs_d] == ["4.1"]
+    assert [t for t, info in THEOREMS.items() if not info.has_closed_form] == ["3.2", "3.3", "4.1"]
+    with pytest.raises(TypeError):  # derived, so not declared
+        TheoremInfo("3.1", "delta_power", ((1, 2),), "x", "Fq2_star", char="odd")
 
 
 def test_family_kinds_need_matching_context():
@@ -76,7 +84,7 @@ def test_delta_power_rows_match_eval_family(p, m):
             for (delta, acc, lin), (_, gamma) in zip(rows, pairs):
                 spec = family_for_theorem(tid, delta, gamma, i=i)
                 want = [eval_family(spec, T, x).enc for x in range(n)]
-                assert T.line_vec(acc, lin)(gamma).tolist() == want, (tid, i, delta, gamma)
+                assert next(T.line_rows(acc, lin, [gamma])).tolist() == want, (tid, i, delta, gamma)
                 assert family_images(spec, T).tolist() == want
 
 

@@ -12,7 +12,6 @@ from ppkit.errors import (
     MixedContexts,
     NotPrime,
     PPKitError,
-    WrongCharacteristic,
 )
 from ppkit.cli import main
 from ppkit.gf import (
@@ -20,7 +19,6 @@ from ppkit.gf import (
     FieldCtx,
     _poly_to_enc,
     build_field,
-    find_special,
     power_class,
     trace_sum,
 )
@@ -163,16 +161,3 @@ def test_power_class_matches_brute_force():
     with pytest.raises(InvalidParam):
         power_class(build_field(5, 1), 2, 0)
 
-
-def test_find_special_elements():
-    F = build_field(5, 1)
-    u = find_special(F, "non_square")
-    assert not power_class(F, u.enc, 2)
-    assert u.enc == min(e for e in range(1, 5) if not power_class(F, e, 2))
-    with pytest.raises(WrongCharacteristic):
-        find_special(F, "abs_trace_one")
-    E = build_field(2, 2)
-    w = find_special(E, "abs_trace_one")
-    assert trace_sum(E, w.enc, 2, 2) == 1
-    with pytest.raises(WrongCharacteristic):
-        find_special(E, "non_square")

@@ -3,8 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from ppkit.errors import LeftBaseField, MixedContexts
-from ppkit.gf import _CTX_TOKEN, FieldCtx, build_field
+from ppkit.errors import InvalidParam, LeftBaseField, MixedContexts
+from ppkit.gf import _CTX_TOKEN, FieldCtx, build_field, power_class, trace_sum
 from ppkit.tower import (
     TowerElem,
     build_tower,
@@ -20,9 +20,26 @@ def test_alpha_reduction_rule(p, m):
     T = build_tower(build_field(p, m))
     a2 = T.mul(T.alpha.enc, T.alpha.enc)
     if T.kind == "odd":
-        assert a2 == T.embed(T.u)
+        assert a2 == T.u  # a base-field element is its own encoding in the tower
     else:
-        assert a2 == T.add(T.alpha.enc, T.embed(T.u))
+        assert a2 == T.add(T.alpha.enc, T.u)
+
+
+def test_canonical_u_is_the_least_admissible():
+    for p, m in TOWERS + [(5, 2), (2, 4)]:
+        B = build_field(p, m)
+        us = valid_us(B)
+        assert build_tower(B).u == us[0]
+        if p == 2:  # alpha^2 = alpha + u: u of absolute trace 1
+            assert us == [e for e in range(B.q) if trace_sum(B, e, 2, m) == 1]
+        else:  # alpha^2 = u: u a non-square
+            assert us == [e for e in range(B.q) if not power_class(B, e, 2)]
+        for u in range(B.q):
+            if u in us:
+                assert build_tower(B, u).u == u
+            else:
+                with pytest.raises(InvalidParam, match="absolute trace 0" if p == 2 else "is a square"):
+                    build_tower(B, u)
 
 
 @pytest.mark.parametrize("p,m", TOWERS)
@@ -143,9 +160,10 @@ def test_line_vec_is_add_of_mul(kind, p, m):
     lin = rng.integers(0, ctx.order, size=3 * ctx.order)
     acc[:2 * ctx.order:2] = 0  # zeros in both, in acc only, in lin only, in neither
     lin[:ctx.order] = 0
-    at = ctx.line_vec(acc, lin)
-    for g in range(ctx.order):
-        assert at(g).tolist() == ctx.add_vec(acc, ctx.mul_vec(g, lin)).tolist(), g
+    rows = ctx.line_rows(acc, lin, range(ctx.order))
+    for g, row in enumerate(rows):
+        assert row.tolist() == ctx.add_vec(acc, ctx.mul_vec(g, lin)).tolist(), g
+    assert g == ctx.order - 1
 
 
 @pytest.mark.parametrize(
@@ -160,12 +178,11 @@ def test_line_vec_block_rows_are_the_int_vectors(kind, p, m):
     acc = rng.integers(0, ctx.order, size=2 * ctx.order)
     lin = rng.integers(0, ctx.order, size=2 * ctx.order)
     lin[:ctx.order] = 0
-    at = ctx.line_vec(acc, lin)
     gs = [0] + rng.integers(0, ctx.order, size=ctx.order).tolist() + [0]
-    block = at(np.array(gs))
+    block = np.array(list(ctx.line_rows(acc, lin, np.array(gs))))
     assert block.shape == (len(gs), len(lin))
     for j, g in enumerate(gs):
-        assert block[j].tolist() == at(g).tolist(), (j, g)
+        assert block[j].tolist() == next(ctx.line_rows(acc, lin, [g])).tolist(), (j, g)
 
 
 def test_pow_vec_matches_pow():
@@ -218,7 +235,7 @@ def test_elem_ops_and_embedding():
     assert (x * y).enc == T.mul(5, 7)
     assert (x - y) + y == x
     assert (x / y) * y == x
-    assert (x + B.elem(2)).enc == T.add(5, T.embed(2))
+    assert (x + B.elem(2)).enc == T.add(5, 2)
     other = build_tower(build_field(5, 1))
     with pytest.raises(MixedContexts):
         _ = x + other.elem(1)
