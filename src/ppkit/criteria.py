@@ -112,19 +112,25 @@ def _z_component_permutes(
     return e1 != 0
 
 
-# (i, class representative, gamma) -> Verdict, while a sweep runs; see one_verdict_per_class
-_verdicts: ContextVar[dict | None] = ContextVar("ppkit_verdicts", default=None)
+# (ctx, tid, i, d, info, {(class representative, gamma): Verdict}) while a
+# sweep runs; see one_verdict_per_class
+_verdicts: ContextVar[tuple | None] = ContextVar("ppkit_verdicts", default=None)
 
 
 @contextlib.contextmanager
-def one_verdict_per_class():
-    """Within the block, predict computes each (i, trace class of delta, gamma)
-    once and returns that verdict for every delta of the class.
+def one_verdict_per_class(tid: str, ctx, i: int | None = None, d: int | None = None):
+    """Within the block, predict(tid, ctx, delta, gamma, i, d) on this tid, this
+    ctx object and this i and d checks only delta and gamma, and computes each
+    (trace class of delta, gamma) once, returning that verdict for every delta
+    of the class.  Any other call takes the full path and reads no table.
 
-    The sweep engine opens it around one theorem on one field; the table is
-    dropped on the way out, so no verdict outlives the sweep.
+    The theorem check runs once, here.  The sweep engine opens the block around
+    one theorem on one field; the table is dropped on the way out, so no
+    verdict outlives the sweep.
     """
-    token = _verdicts.set({})
+    info = theorem_info(tid)
+    info.check(ctx, i, d)
+    token = _verdicts.set((ctx, tid, i, d, info, {}))
     try:
         yield
     finally:
@@ -148,21 +154,29 @@ def predict(
     folding; those theorems are decided by the exact z-component test and the
     verdict carries a "folded" note when the case list disagrees.  A delta or
     gamma that is not an encoding in ctx, or a nonzero delta for the trace
-    form 4.1, raises InvalidParam.  Inside one_verdict_per_class, each
-    (i, trace class of delta, gamma) is computed once.
+    form 4.1, raises InvalidParam.  Inside one_verdict_per_class, a call on
+    its theorem, field, i and d is checked and computed once per
+    (trace class of delta, gamma).
     """
-    info = theorem_info(tid)
-    info.check(ctx, i, d, delta=delta, gamma=gamma)
+    bound = _verdicts.get()
+    if (bound is not None and bound[0] is ctx
+            and bound[1] == tid and bound[2] == i and bound[3] == d):
+        info, table = bound[4], bound[5]
+        n = ctx.order
+        if not (0 <= delta < n and 0 <= gamma < n) or (delta and info.needs_d):
+            info.check(ctx, i, d, delta=delta, gamma=gamma)  # raises InvalidParam
+    else:
+        info, table = theorem_info(tid), None
+        info.check(ctx, i, d, delta=delta, gamma=gamma)
     if info.needs_d:
         return _predict_41(ctx, gamma, d)
     # Every criterion reads delta only through Tr(delta): x -> x + w moves delta
     # by w^q -+ w, which spans ker Tr.  With delta = c0 + c1*alpha the trace is
     # 2*c0 (odd) or c1 (even), so the least delta of that trace stands in for it.
     rep = delta % ctx.q if ctx.kind == "odd" else delta - delta % ctx.q
-    table = _verdicts.get()
     if table is None:
         return _class_verdict(tid, info, ctx, rep, gamma, i)
-    key = (i, rep, gamma)
+    key = (rep, gamma)
     v = table.get(key)
     if v is None:
         v = table[key] = _class_verdict(tid, info, ctx, rep, gamma, i)

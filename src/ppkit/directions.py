@@ -96,7 +96,7 @@ def permuting_translate_set(f: Callable[[int], int], ctx) -> set[int]:
     the sweep's oracle on the vector arithmetic (direction_set stays scalar)."""
     size = direction_order(ctx)
     acc = np.array([f(x) for x in range(size)], dtype=np.int64)
-    rows = ctx.line_rows(acc, np.arange(size), range(size))
+    rows = ctx.line_rows(acc, ctx.line_products(np.arange(size), range(size)))
     return {g for g, images in enumerate(rows) if images_permute(images, size)}
 
 

@@ -164,8 +164,8 @@ def delta_power_rows(spec: FamilySpec, tower: TowerCtx, deltas):
     exps = [instantiate_exponent(t, tower.q, tower.p) for t in spec.terms]
     for delta in deltas:
         core = tower.add_vec(core0, delta)
-        acc = np.zeros(tower.order, dtype=np.int64)
-        for s in exps:
+        acc = tower.pow_vec(core, exps[0]) if exps else np.zeros(tower.order, dtype=np.int64)
+        for s in exps[1:]:
             acc = tower.add_vec(acc, tower.pow_vec(core, s))
         yield delta, acc, lin
 
@@ -173,7 +173,7 @@ def delta_power_rows(spec: FamilySpec, tower: TowerCtx, deltas):
 def family_images(spec: FamilySpec, tower: TowerCtx) -> np.ndarray:
     """f(x) for every encoding x, at spec's delta and gamma, as one int64 vector."""
     [(_, acc, lin)] = delta_power_rows(spec, tower, (spec.delta,))
-    return next(tower.line_rows(acc, lin, (spec.gamma,)))
+    return next(tower.line_rows(acc, tower.line_products(lin, (spec.gamma,))))
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,8 @@ from .errors import (
 
 DEFAULT_MAX_Q = 2**16
 
-# the images of one block gathered by ArithCtx.line_rows: it bounds the
-# block's memory and keeps the block in cache while its rows are read
+# the images of one block of ArithCtx.line_products: it bounds the block's
+# memory and keeps the block in cache while its rows are read
 _LINE_BLOCK = 2**14
 
 
@@ -300,7 +300,7 @@ class ArithCtx:
         the p-adic digits of an encoding (tower encodings included) in base
         2p - 1, where two spreads add without carry, and unspread, of length
         (2p - 1)^k for order p^k, reduces each digit mod p.  spread[exp] lets
-        line_rows spread a product with the same gather that forms it.  Once
+        line_products spread a product with the same gather that forms it.  Once
         built, the scalar inv and FieldCtx.mul read exp and log.
         """
         if self._tables is None:
@@ -348,28 +348,40 @@ class ArithCtx:
             self.tables()
         return self._exp[self._log[x] + self._log[y]]
 
-    def line_rows(self, acc, lin, gammas):
-        """The vector acc + gamma * lin at each gamma of the sequence gammas, in order.
+    def line_products(self, lin, gammas):
+        """gamma * lin at each gamma of the sequence gammas, in order, in the form
+        line_rows adds: exp[log lin + log gamma] for p = 2, and its spread
+        spread_exp[log lin + log gamma] for odd p.
 
-        The lookups that read only acc and lin are made once per call: a point
-        then costs exp[log lin + log gamma] XOR acc for p = 2, and
-        unspread[spread acc + spread_exp[log lin + log gamma]] for odd p.  The
-        vectors are gathered and yielded a block of at most _LINE_BLOCK images
-        at a time (one gamma where a vector alone is longer).
+        The products are yielded as 2-D blocks, one row per gamma, of at most
+        _LINE_BLOCK images (one gamma where a vector alone is longer).  They
+        read only lin and gamma, so a caller with many vectors acc on one lin
+        keeps the blocks; one that has a single acc streams them.
         """
         if self._tables is None:
             self.tables()
-        if self.p == 2:
-            exp = self._exp
-            at = lambda logs: acc ^ exp[logs]
-        else:
-            spread_acc, spread_exp, unspread = self._spread[acc], self._spread_exp, self._unspread
-            at = lambda logs: unspread[spread_acc + spread_exp[logs]]
+        table = self._exp if self.p == 2 else self._spread_exp
         log_lin = self._log[lin]
         log_gammas = self._log[np.asarray(gammas, dtype=np.int64)][:, None]
         step = max(1, _LINE_BLOCK // len(lin))
         for lo in range(0, len(log_gammas), step):
-            yield from at(log_lin + log_gammas[lo:lo + step])
+            yield table[log_lin + log_gammas[lo:lo + step]]
+
+    def line_rows(self, acc, blocks):
+        """The vector acc + gamma * lin per row of the blocks of line_products, in order.
+
+        A point costs acc XOR product for p = 2, and
+        unspread[spread acc + product] for odd p, with spread acc made once.
+        """
+        if self._tables is None:
+            self.tables()
+        if self.p == 2:
+            for blk in blocks:
+                yield from acc ^ blk
+        else:
+            spread_acc, unspread = self._spread[acc], self._unspread
+            for blk in blocks:
+                yield from unspread[spread_acc + blk]
 
     def pow_vec(self, vec: np.ndarray, e: int) -> np.ndarray:
         """Elementwise vec**e as exp[(e * log v) mod (order - 1)]; 0**0 == 1."""

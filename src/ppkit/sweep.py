@@ -48,8 +48,9 @@ class SweepRecord(NamedTuple):
         return self._asdict()
 
 
-def _trace_rows(field, d: int):
-    """The one row (0, x, Tr(x^{q+1} + x^{2q+2})) of the trace form over F_{q^d}."""
+def _trace_rows(field, d: int, gammas):
+    """The one row (0, x, blocks of gamma * Tr(x^{q+1} + x^{2q+2})) of the trace form
+    over F_{q^d}; its blocks are streamed, as no other row reads them."""
     q = subfield_order(field, d)
     xs = np.arange(field.order)
     w = field.pow_vec(xs, q + 1)
@@ -57,28 +58,40 @@ def _trace_rows(field, d: int):
     tr = np.zeros(field.order, dtype=np.int64)
     for k in range(d):
         tr = field.add_vec(tr, field.pow_vec(t, q**k))
-    return [(0, xs, tr)]
+    return [(0, xs, field.line_products(tr, gammas))]
 
 
-def _records(ctx, head: tuple, rows, gammas) -> list[SweepRecord]:
-    """The records of each row (delta, acc, lin) at each gamma; f = acc + gamma * lin.
+def _shared_products(ctx, rows, gammas):
+    """Rows (delta, acc, lin) as (delta, acc, blocks of gamma * lin).
 
-    head is the records' (tid, p, m, u, i, d).  Each record is made in one
-    call, SweepRecord._make of the flat tuple of its 13 fields; no other code
-    makes a SweepRecord.
-    A row's image vectors are gathered a block of gammas at a time (line_rows),
-    but the oracle still runs on every record, one vector at a time; predict
-    computes one verdict per (i, trace class of delta, gamma) and returns it
-    for the rest of the class.
+    gamma * lin does not depend on delta: the blocks are made once per lin
+    object and kept, as a list, for every row that shares it.
     """
-    tid, _, _, _, i, d = head
+    lin0 = blocks = None
+    for delta, acc, lin in rows:
+        if lin is not lin0:
+            lin0, blocks = lin, list(ctx.line_products(lin, gammas))
+        yield delta, acc, blocks
+
+
+def _records(ctx, tid: str, p: int, m: int, i, d, deltas, gammas) -> list[SweepRecord]:
+    """The records of one i at each delta of deltas and gamma of gammas.
+
+    Each record is made in one call, SweepRecord._make of the flat tuple of
+    its 13 fields; no other code makes a SweepRecord.
+    The oracle runs on every record, one image vector at a time; predict,
+    bound to this theorem, field, i and d, checks them once per sweep and
+    computes one verdict per (trace class of delta, gamma).
+    """
+    head, rows = _head_rows(ctx, tid, p, m, i, d, deltas, gammas)
     ctx.tables()
-    records, make = [], SweepRecord._make
-    with criteria.one_verdict_per_class():
-        for delta, acc, lin in rows:
-            for gamma, images in zip(gammas, ctx.line_rows(acc, lin, gammas), strict=True):
-                pp = images_permute(images, ctx.order)
-                v = criteria.predict(tid, ctx, delta, gamma, i=i, d=d)
+    records, make, order = [], SweepRecord._make, ctx.order
+    predict, permutes = criteria.predict, images_permute
+    with criteria.one_verdict_per_class(tid, ctx, i, d):
+        for delta, acc, blocks in rows:
+            for gamma, images in zip(gammas, ctx.line_rows(acc, blocks), strict=True):
+                pp = permutes(images, order)
+                v = predict(tid, ctx, delta, gamma, i, d)
                 records.append(
                     make((*head, delta, gamma, v.predicted, v.matched_case, pp,
                           v.predicted == pp, v.notes))
@@ -86,12 +99,13 @@ def _records(ctx, head: tuple, rows, gammas) -> list[SweepRecord]:
     return records
 
 
-def _head_rows(ctx, tid: str, p: int, m: int, i: Optional[int], d: Optional[int], deltas):
-    """The records' head (tid, p, m, u, i, d) and the (delta, acc, lin) rows of one i."""
+def _head_rows(ctx, tid: str, p: int, m: int, i: Optional[int], d: Optional[int], deltas, gammas):
+    """The records' head (tid, p, m, u, i, d) and the rows of one i: (delta, acc,
+    blocks), where f = acc + gamma * lin and blocks are line_products(lin, gammas)."""
     if theorem_info(tid).needs_d:  # the trace form: one row, at delta 0
-        return (tid, p, m * d, 0, None, d), _trace_rows(ctx, d)
+        return (tid, p, m * d, 0, None, d), _trace_rows(ctx, d, gammas)
     rows = delta_power_rows(family_for_theorem(tid, 0, 0, i=i), ctx, deltas)
-    return (tid, p, m, ctx.u, i, None), rows
+    return (tid, p, m, ctx.u, i, None), _shared_products(ctx, rows, gammas)
 
 
 def sweep_theorem(
@@ -117,7 +131,7 @@ def sweep_theorem(
     return [
         r
         for iv in i_values
-        for r in _records(ctx, *_head_rows(ctx, tid, p, m, iv, d, range(ctx.order)), gammas)
+        for r in _records(ctx, tid, p, m, iv, d, range(ctx.order), gammas)
     ]
 
 
@@ -128,17 +142,30 @@ def disagreements(records: list[SweepRecord]) -> list[SweepRecord]:
 
 
 def summarize(records: list[SweepRecord]) -> dict:
-    bad = disagreements(records)
+    """Counts over records, in one pass; disagreements() sees only the records
+    whose prediction and oracle differ."""
+    predicted = oracle = 0
+    differ = []
+    for r in records:
+        if r.predicted:
+            predicted += 1
+        if r.oracle:
+            oracle += 1
+        if not r.agree:
+            differ.append(r)
     return {
         "records": len(records),
-        "disagreements": len(bad),
-        "predicted_true": sum(1 for r in records if r.predicted),
-        "oracle_true": sum(1 for r in records if r.oracle),
+        "disagreements": len(disagreements(differ)),
+        "predicted_true": predicted,
+        "oracle_true": oracle,
     }
 
 
 _FIELDS = list(SweepRecord._fields)
-_HEAD, _VERDICT = _FIELDS[:6], _FIELDS[8:]  # the fields before delta, after gamma
+# the fields before delta (6) and after gamma (7); prebuilt, as a record's
+# r[:6] would build a slice object per record
+_AT_HEAD, _AT_VERDICT = slice(6), slice(8, None)
+_HEAD, _VERDICT = _FIELDS[_AT_HEAD], _FIELDS[_AT_VERDICT]
 
 
 def _csv_cells(values) -> str:
@@ -173,10 +200,10 @@ def write_records(records: list[SweepRecord], out, fmt: str = "jsonl"):
         write = stream.write
         write(header)
         for r in records:
-            h, v = r[:6], r[8:]
+            h, v = r[_AT_HEAD], r[_AT_VERDICT]
             hs = heads.get(h) or heads.setdefault(h, head(h))
             vs = verdicts.get(v) or verdicts.setdefault(v, verdict(v))
-            write(f"{hs}{r.delta}{mid}{r.gamma}{vs}")
+            write(f"{hs}{r[6]}{mid}{r[7]}{vs}")
 
 
 def check_single(
@@ -191,5 +218,5 @@ def check_single(
 ) -> SweepRecord:
     """The record of one (delta, gamma), computed by the sweep's own engine."""
     ctx = theorem_context(tid, p, m, u, i, d, delta, gamma)
-    [record] = _records(ctx, *_head_rows(ctx, tid, p, m, i, d, (delta,)), (gamma,))
+    [record] = _records(ctx, tid, p, m, i, d, (delta,), (gamma,))
     return record

@@ -84,7 +84,7 @@ def test_delta_power_rows_match_eval_family(p, m):
             for (delta, acc, lin), (_, gamma) in zip(rows, pairs):
                 spec = family_for_theorem(tid, delta, gamma, i=i)
                 want = [eval_family(spec, T, x).enc for x in range(n)]
-                assert next(T.line_rows(acc, lin, [gamma])).tolist() == want, (tid, i, delta, gamma)
+                assert next(T.line_rows(acc, T.line_products(lin, [gamma]))).tolist() == want, (tid, i, delta, gamma)
                 assert family_images(spec, T).tolist() == want
 
 

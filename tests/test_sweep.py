@@ -10,8 +10,15 @@ import pytest
 from ppkit import criteria, gf, sweep
 from ppkit.cli import main
 from ppkit.criteria import predict
-from ppkit.errors import MissingParam, WrongCharacteristic
-from ppkit.families import THEOREMS, eval_family, family_for_theorem, theorem_context, theorem_info
+from ppkit.errors import InvalidParam, MissingParam, WrongCharacteristic
+from ppkit.families import (
+    THEOREMS,
+    TheoremInfo,
+    eval_family,
+    family_for_theorem,
+    theorem_context,
+    theorem_info,
+)
 from ppkit.gf import build_field
 from ppkit.oracle import is_bijection
 from ppkit.sweep import (
@@ -68,6 +75,17 @@ def test_summarize():
     s = summarize(recs)
     assert s["records"] == 18 and s["disagreements"] == 0
     assert s["predicted_true"] == s["oracle_true"]
+    recs += [
+        recs[5]._replace(agree=False, note=None),
+        recs[6]._replace(agree=False, note=f"{criteria.HYPOTHESIS_VIOLATED}: gamma = 0"),
+    ]
+    assert len(disagreements(recs)) == 1
+    assert summarize(recs) == {
+        "records": 20,
+        "disagreements": 1,
+        "predicted_true": sum(r.predicted for r in recs),
+        "oracle_true": sum(r.oracle for r in recs),
+    }
 
 
 def test_write_jsonl_and_csv():
@@ -414,3 +432,101 @@ def test_predict_outside_a_sweep_computes_every_call(computed):
     for _ in range(3):
         predict("3.6", tower, 10, 2)
     assert computed == [(1, 2)] * 3
+
+
+def test_the_verdict_table_is_bound_to_its_theorem_field_i_and_d(computed):
+    tower = theorem_context("3.6", 5, 1)
+    want = {tid: predict(tid, tower, 0, 1) for tid in ("3.6", "3.8")}
+    assert want["3.8"] == criteria.Verdict(True, "3.8(i)") != want["3.6"]
+    other = build_tower(gf.FieldCtx(5, 1, _token=gf._CTX_TOKEN), u=tower.u)  # equal, not the same
+    with criteria.one_verdict_per_class("3.6", tower):
+        assert predict("3.6", tower, 0, 1) == want["3.6"]
+        computed.clear()
+        assert predict("3.6", tower, 5, 1) == want["3.6"]  # Tr(5) = Tr(0): one class
+        assert computed == []
+        assert predict("3.8", tower, 0, 1) == want["3.8"]  # not 3.6's verdict from the table
+        assert predict("3.6", other, 0, 1) == want["3.6"]
+        assert len(computed) == 2  # both took the full path
+        for delta, gamma in [(tower.order, 1), (0, tower.order), (-1, 1), (0, -1)]:
+            with pytest.raises(InvalidParam):
+                predict("3.6", tower, delta, gamma)
+
+
+def test_the_bound_path_checks_i_and_d_like_the_full_path():
+    tower = theorem_context("3.13", 3, 2, i=1)
+    field = theorem_context("4.1", 2, 3, d=1)
+    outside = predict("3.13", tower, 1, 1, i=2)  # i = 2 is out of [1, m): a probe
+    with criteria.one_verdict_per_class("3.13", tower, i=1):
+        assert predict("3.13", tower, 1, 1, i=2) == outside
+    with criteria.one_verdict_per_class("4.1", field, d=1):
+        assert predict("4.1", field, 0, 3, d=1) == criteria._predict_41(field, 3, 1)
+        with pytest.raises(InvalidParam, match="has no delta"):
+            predict("4.1", field, 1, 3, d=1)
+        with pytest.raises(InvalidParam):
+            predict("4.1", field, 0, field.order, d=1)
+
+
+def test_the_theorem_check_runs_once_per_sweep(monkeypatch):
+    calls = []
+    check = TheoremInfo.check
+
+    def counted(self, *args, **kw):
+        calls.append(args)
+        return check(self, *args, **kw)
+
+    monkeypatch.setattr(TheoremInfo, "check", counted)
+    per_sweep = []
+    # 9 * 8 and 81 * 80 records; 3.2 computes no closed form, which checks
+    # once per class
+    for m in (1, 2):
+        calls.clear()
+        assert sweep_theorem("3.2", 3, m)
+        per_sweep.append(len(calls))
+    assert per_sweep == [3, 3]  # the field, the family, the verdict table
+    with pytest.raises(WrongCharacteristic):  # a foreign field is refused on entry
+        with criteria.one_verdict_per_class("3.6", build_field(3, 2)):
+            pass
+    assert criteria._verdicts.get() is None
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """The blocks of every line_products call, one list per call."""
+    calls = []
+    body = gf.ArithCtx.line_products
+
+    def counted(self, lin, gammas):
+        calls.append([])
+        for blk in body(self, lin, gammas):
+            calls[-1].append(blk)
+            yield blk
+
+    monkeypatch.setattr(gf.ArithCtx, "line_products", counted)
+    return calls
+
+
+def test_a_sweep_forms_gamma_times_lin_once_per_i(products):
+    assert {r.i for r in sweep_theorem("3.13", 3, 3)} == {1, 2}
+    assert len(products) == 2
+    products.clear()
+    assert sweep_theorem("3.6", 3, 2)
+    assert len(products) == 1
+
+
+@pytest.mark.parametrize("tid, p, m", [("3.6", 5, 2), ("3.14", 3, 4)], ids=["625", "6561"])
+def test_the_kept_blocks_stay_within_a_block(products, tid, p, m):
+    ctx = theorem_context(tid, p, m)
+    gammas = range(1, ctx.q)
+    _, rows = sweep._head_rows(ctx, tid, p, m, None, None, range(3), gammas)
+    kept = [blocks for _, _, blocks in rows]
+    assert kept[0] is kept[1] is kept[2] and len(products) == 1  # one list, made once
+    assert sum(len(blk) for blk in kept[0]) == len(gammas)
+    assert max(blk.size for blk in kept[0]) <= max(gf._LINE_BLOCK, ctx.order)
+
+
+def test_the_trace_form_streams_its_one_row(products):
+    field = theorem_context("4.1", 2, 3, d=3)
+    _, [(_, _, blocks)] = sweep._head_rows(field, "4.1", 2, 3, None, 3, None, range(field.order))
+    assert not isinstance(blocks, list)  # order^2 images, read by this row alone
+    assert sum(len(blk) for blk in blocks) == field.order
+    assert len(products) == 1
