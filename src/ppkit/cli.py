@@ -137,10 +137,7 @@ def _cmd_check(args) -> int:
     delta = _resolve_delta(ctx, args)
     if args.gamma is None:
         raise PPKitError("check requires --gamma")
-    rec = sweep_mod.check_single(
-        args.theorem, args.p, args.m, delta, args.gamma,
-        u=args.u, i=args.i, d=args.d,
-    )
+    rec = sweep_mod.check_on(ctx, args.theorem, delta, args.gamma, i=args.i, d=args.d)
     print(json.dumps(rec.serialize(), indent=2))
     return EXIT_DISAGREE if sweep_mod.disagreements([rec]) else EXIT_OK
 

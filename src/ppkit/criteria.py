@@ -15,7 +15,7 @@ from .errors import (
     UnknownTheorem,
     WrongCharacteristic,
 )
-from .families import closed_form_components, theorem_info
+from .families import _closed_form, theorem_info
 from .gf import FieldCtx, power_class, subfield_elements, subfield_order, trace_sum
 from .tower import TowerCtx
 
@@ -96,11 +96,9 @@ def quintic_norm_pp(ctx: FieldCtx, A: int, B: int) -> bool:
 
 
 def _z_component_permutes(
-    tid: str, tower: TowerCtx, delta: int, gamma: int, i: int | None
+    info, tower: TowerCtx, delta: int, gamma: int, i: int | None
 ) -> bool:
-    table = closed_form_components(
-        tid, tower, tower.elem(delta), tower.elem(gamma), i=i
-    )
+    table = _closed_form(info, tower, delta, gamma, i)  # predict checked them
     B = tower.base
     e5 = table.g2.get((0, 5), 0)
     e3 = table.g2.get((0, 3), 0)
@@ -192,7 +190,7 @@ def _class_verdict(
     # polynomial permutes F_q"; the normalized cubic/quintic tests decide that
     # exactly at every q, while the stated cases provide the label
     if info.gamma_domain == "Fq_star" and not info.needs_i and v.notes is None:
-        exact = _z_component_permutes(tid, tower, delta, gamma, i)
+        exact = _z_component_permutes(info, tower, delta, gamma, i)
         if exact != v.predicted:
             if exact:
                 return Verdict(True, "folded", FOLDED)
@@ -217,8 +215,8 @@ def _statement_predict(
         return _predict_319(tower, delta, gamma)
 
     td = tower.trace(delta)
-    tg = tower.trace(gamma)
-    ng = tower.norm(gamma)
+    if info.gamma_domain == "Fq2_star":  # only 3.1-3.5 read Tr(gamma) and N(gamma)
+        tg, ng = tower.trace(gamma), tower.norm(gamma)
     g = gamma if gamma_in_base else None  # plain gamma for F_q* statements
 
     def s(n: int) -> int:

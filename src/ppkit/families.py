@@ -152,22 +152,22 @@ def delta_power_rows(spec: FamilySpec, tower: TowerCtx, deltas):
 
     The one vector evaluation of a delta-power family; spec gives the terms
     and the linear part, its own delta and gamma are not read.  acc and lin
-    are int64 vectors indexed by encoding.  A spec or context that
-    eval_family refuses raises the same KindContextMismatch, when the first
-    row is drawn.
+    are int64 vectors indexed by encoding.  h(y) = sum_i y^{s_i} does not
+    depend on delta, so it is tabulated once, at every element of the tower
+    (one pow_vec per term, order * 8 bytes), and each row is the gather
+    acc = h[x^q -+ x + delta]: exact, as h is tabulated at every encoding
+    the core can take.  A spec or context that eval_family refuses raises
+    the same KindContextMismatch, when the first row is drawn.
     """
     _check_delta_power(spec, tower)
     xs = np.arange(tower.order)
     xq = tower.pow_vec(xs, tower.q)
     core0 = tower.add_vec(xq, tower.mul_vec(tower.scalar(-1), xs))  # x^q -+ x
     lin = xs if spec.linear_kind == "x" else tower.add_vec(xq, xs)
-    exps = [instantiate_exponent(t, tower.q, tower.p) for t in spec.terms]
+    powers = [tower.pow_vec(xs, instantiate_exponent(t, tower.q, tower.p)) for t in spec.terms]
+    h = functools.reduce(tower.add_vec, powers) if powers else np.zeros(tower.order, dtype=np.int64)
     for delta in deltas:
-        core = tower.add_vec(core0, delta)
-        acc = tower.pow_vec(core, exps[0]) if exps else np.zeros(tower.order, dtype=np.int64)
-        for s in exps[1:]:
-            acc = tower.add_vec(acc, tower.pow_vec(core, s))
-        yield delta, acc, lin
+        yield delta, h[tower.add_vec(core0, delta)], lin
 
 
 def family_images(spec: FamilySpec, tower: TowerCtx) -> np.ndarray:
@@ -392,13 +392,20 @@ def closed_form_components(
     if not info.has_closed_form:
         raise UnknownTheorem(f"theorem {tid} has no closed-form component pair")
     info.check(tower, i)
+    if info.gamma_domain == "Fq_star" and gamma.enc >= tower.q:
+        raise KindContextMismatch(f"theorem {tid} requires gamma in F_q")
+    return _closed_form(info, tower, delta.enc, gamma.enc, i)
+
+
+def _closed_form(
+    info: TheoremInfo, tower: TowerCtx, delta: int, gamma: int, i: int | None
+) -> ComponentTable:
+    """closed_form_components on encodings, without its checks: for callers
+    that have checked the theorem, the tower, i and gamma already."""
     B = tower.base
     u = tower.u
-    a, b = tower.split(delta.enc)
-    c, d = tower.split(gamma.enc)
-    if info.gamma_domain == "Fq_star" and d != 0:
-        raise KindContextMismatch(f"theorem {tid} requires gamma in F_q")
-
+    a, b = tower.split(delta)
+    c, d = tower.split(gamma)
     odd = tower.kind == "odd"
     v = a if odd else b
     g = ({}, {})  # g1, g2

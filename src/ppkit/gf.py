@@ -411,8 +411,8 @@ class FieldCtx(ArithCtx):
         self.m = m
         self.q = p**m
         self.modulus = _least_irreducible(p, m)
-        # build_tower's TowerCtx per u; made here, as a later attribute would
-        # slow the attribute reads of mul
+        # build_tower's TowerCtx per u, and at None the canonical one; made
+        # here, as a later attribute would slow the attribute reads of mul
         self._towers = {}
 
     def coeffs(self, enc: int) -> tuple[int, ...]:

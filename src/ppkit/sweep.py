@@ -217,6 +217,15 @@ def check_single(
     d: Optional[int] = None,
 ) -> SweepRecord:
     """The record of one (delta, gamma), computed by the sweep's own engine."""
-    ctx = theorem_context(tid, p, m, u, i, d, delta, gamma)
-    [record] = _records(ctx, tid, p, m, i, d, (delta,), (gamma,))
+    return check_on(theorem_context(tid, p, m, u, i, d), tid, delta, gamma, i, d)
+
+
+def check_on(ctx, tid: str, delta: int, gamma: int, i: Optional[int] = None,
+             d: Optional[int] = None) -> SweepRecord:
+    """check_single on ctx, the field that theorem_context resolved for tid, i
+    and d: delta and gamma are checked here, raising what theorem_context
+    would have raised for them."""
+    theorem_info(tid).check(ctx, i, d, delta=delta, gamma=gamma)
+    m = ctx.m // d if d else ctx.base.m  # F_{q^d} for the trace form, else a tower
+    [record] = _records(ctx, tid, ctx.p, m, i, d, (delta,), (gamma,))
     return record

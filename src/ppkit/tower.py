@@ -109,18 +109,24 @@ class TowerCtx(ArithCtx):
 
 def build_tower(base: FieldCtx, u: int | None = None) -> TowerCtx:
     """Canonical F_{q^2} over base, at the least admissible u unless u is given.
-    One TowerCtx per base object and resolved u, so its tables are built once.
+    One TowerCtx per base object and resolved u, so its tables are built once,
+    and the canonical u is searched for once per base object.
     The base field's O(q) tables are built first, so that the tower's scalar
     ops run on the base's table-backed mul; they never read the tower's own
     tables, which keeps them an independent check of those."""
     base.tables()
-    if u is None:
-        u = next(e for e in range(base.q) if _admissible(base, e))
-    elif not _admissible(base, base.elem(u).enc):  # elem refuses u outside [0, q)
-        raise InvalidParam(f"u={u} has absolute trace 0" if base.p == 2 else f"u={u} is a square in F_{base.q}")
-    if u not in base._towers:
-        base._towers[u] = TowerCtx(base, u)
-    return base._towers[u]
+    towers = base._towers  # by u, and by None for the canonical tower
+    if u not in towers:
+        if u is None:
+            canonical = next(e for e in range(base.q) if _admissible(base, e))
+            if canonical not in towers:
+                towers[canonical] = TowerCtx(base, canonical)
+            towers[None] = towers[canonical]
+        elif _admissible(base, base.elem(u).enc):  # elem refuses u outside [0, q)
+            towers[u] = TowerCtx(base, u)
+        else:
+            raise InvalidParam(f"u={u} has absolute trace 0" if base.p == 2 else f"u={u} is a square in F_{base.q}")
+    return towers[u]
 
 
 def _admissible(base: FieldCtx, u: int) -> bool:

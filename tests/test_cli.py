@@ -348,3 +348,32 @@ def test_one_parser_serves_every_call(capsys):
     assert got == [(proc.returncode, proc.stdout) for proc in fresh]
     assert [code for code, _ in got] == [0, 0, 64, 65, 0]
     assert len(got[1][1].splitlines()) == 18  # the stated domain after the full one
+
+
+def test_check_resolves_its_field_once(capsys, monkeypatch):
+    from ppkit import cli, sweep, tower
+
+    base = build_field(7, 2)
+    canonical = ppkit.valid_us(base)[0]
+    monkeypatch.setattr(base, "_towers", {})  # F_49 as if no tower had been built over it
+    calls = {"theorem_context": 0, "build_tower": 0, "_admissible": 0}
+
+    def counted(module, name):
+        body = getattr(module, name)
+
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return body(*args, **kw)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in [(cli, "theorem_context"), (sweep, "theorem_context"),
+                         (families, "build_tower"), (tower, "_admissible")]:
+        counted(module, name)
+    # 3.2 reads no closed form, whose own build_tower is cached across tests
+    argv = ["check", "--p", "7", "--m", "2", "--theorem", "3.2", "--gamma", "100"]
+    for point in (["--delta", "444"], ["--trdelta", "3"]):
+        code, out, _ = run_cli(capsys, *argv, *point)
+        assert code == 0 and json.loads(out)["u"] == canonical
+    # one field per check; the least admissible u is searched for once
+    assert calls == {"theorem_context": 2, "build_tower": 2, "_admissible": canonical + 1}

@@ -70,7 +70,10 @@ def test_family_kinds_need_matching_context():
             family_images(s, ctx)
 
 
-@pytest.mark.parametrize("p,m", [(3, 1), (3, 2), (2, 1), (2, 3)], ids=["F3^2", "F9^2", "F2^2", "F8^2"])
+@pytest.mark.parametrize(
+    "p,m", [(3, 1), (3, 2), (2, 1), (2, 3), (5, 1), (7, 1)],
+    ids=["F3^2", "F9^2", "F2^2", "F8^2", "F5^2", "F7^2"],
+)
 def test_delta_power_rows_match_eval_family(p, m):
     T = build_tower(build_field(p, m))
     rng = random.Random(T.order)

@@ -476,17 +476,30 @@ def test_the_theorem_check_runs_once_per_sweep(monkeypatch):
 
     monkeypatch.setattr(TheoremInfo, "check", counted)
     per_sweep = []
-    # 9 * 8 and 81 * 80 records; 3.2 computes no closed form, which checks
-    # once per class
-    for m in (1, 2):
+    # 9 * 8 and 81 * 80 records of 3.2, which reads no closed form, and 9 * 2
+    # and 81 * 8 of 3.6, which reads one per computed class verdict
+    for tid, m in [("3.2", 1), ("3.2", 2), ("3.6", 1), ("3.6", 2)]:
         calls.clear()
-        assert sweep_theorem("3.2", 3, m)
+        assert sweep_theorem(tid, 3, m)
         per_sweep.append(len(calls))
-    assert per_sweep == [3, 3]  # the field, the family, the verdict table
+    assert per_sweep == [3, 3, 3, 3]  # the field, the family, the verdict table
     with pytest.raises(WrongCharacteristic):  # a foreign field is refused on entry
         with criteria.one_verdict_per_class("3.6", build_field(3, 2)):
             pass
     assert criteria._verdicts.get() is None
+
+
+@pytest.mark.parametrize("tid, p, m", [("3.6", 3, 2), ("3.6", 5, 2), ("3.13", 3, 3)],
+                         ids=["3.6-F81", "3.6-F625", "3.13-F729"])
+def test_a_sweep_tabulates_its_powers_once_per_i(monkeypatch, tid, p, m):
+    calls = []
+    body = TowerCtx.pow_vec
+    monkeypatch.setattr(TowerCtx, "pow_vec", lambda self, vec, e: calls.append(e) or body(self, vec, e))
+    records = sweep_theorem(tid, p, m)
+    i_values = {r.i for r in records}
+    assert len(records) == p ** (2 * m) * (p**m - 1) * len(i_values)  # order deltas per i
+    # x^q, then y^s on the whole tower per term: none of them per delta
+    assert len(calls) <= (len(theorem_info(tid).terms) + 1) * len(i_values)
 
 
 @pytest.fixture
