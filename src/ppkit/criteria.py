@@ -15,7 +15,7 @@ from .errors import (
     UnknownTheorem,
     WrongCharacteristic,
 )
-from .families import _closed_form, theorem_info
+from .families import _core_monomials, theorem_info
 from .gf import FieldCtx, power_class, subfield_elements, subfield_order, trace_sum
 from .tower import TowerCtx
 
@@ -30,6 +30,10 @@ class Verdict:
     predicted: bool
     matched_case: str  # e.g. "3.1(ii)" or "none"
     notes: Optional[str] = None
+
+
+# most class verdicts; a Verdict is frozen, so one object serves them all
+_NONE = Verdict(False, "none")
 
 
 @functools.cache  # one shared verdict, and note string, per reason
@@ -95,14 +99,37 @@ def quintic_norm_pp(ctx: FieldCtx, A: int, B: int) -> bool:
     return False
 
 
-def _z_component_permutes(
-    info, tower: TowerCtx, delta: int, gamma: int, i: int | None
-) -> bool:
-    table = _closed_form(info, tower, delta, gamma, i)  # predict checked them
+def _z_core(info, tower: TowerCtx, delta: int, i: int | None) -> tuple[int, int, int]:
+    """(e5, e3, e1): the coefficients of z^5, z^3 and z in g2's core part,
+    sum_s core^s at v = a, the base coordinate of delta (F_q* theorems are odd).
+
+    They are read off the cached _core_monomials; families._closed_form adds
+    the same monomials, and the linear part, which _z_terms adds here.
+    """
     B = tower.base
-    e5 = table.g2.get((0, 5), 0)
-    e3 = table.g2.get((0, 3), 0)
-    e1 = table.g2.get((0, 1), 0)
+    v = tower.split(delta)[0]
+    e = {5: 0, 3: 0, 1: 0}
+    for vdeg, which, (_, zdeg), const in _core_monomials(info.exponents(i), B.p, B.m, tower.u):
+        if which == 1 and zdeg in e:
+            e[zdeg] = B.add(e[zdeg], B.mul(const, B.pow(v, vdeg)))
+    return e[5], e[3], e[1]
+
+
+def _z_terms(info, tower: TowerCtx, core: tuple, gamma: int) -> tuple[int, int, int]:
+    """(e5, e3, e1) of g2 at (delta, gamma), from delta's z-core and gamma in F_q*.
+
+    x = y - (z - b)*alpha/2 turns gamma*x into gamma*y - gamma*z*alpha/2, so
+    L = x adds -gamma/2 to e1; gamma*(x^q + x) = 2*gamma*y adds no z term.
+    """
+    e5, e3, e1 = core
+    if info.linear_kind == "x":
+        B = tower.base
+        e1 = B.sub(e1, B.mul(gamma, tower._half))
+    return e5, e3, e1
+
+
+def _z_component_permutes(B: FieldCtx, e5: int, e3: int, e1: int) -> bool:
+    """Does e5*z^5 + e3*z^3 + e1*z permute F_q?"""
     if e5 != 0:
         return quintic_norm_pp(B, B.div(e3, e5), B.div(e1, e5))
     if e3 != 0:
@@ -110,8 +137,42 @@ def _z_component_permutes(
     return e1 != 0
 
 
-# (ctx, tid, i, d, info, {(class representative, gamma): Verdict}) while a
-# sweep runs; see one_verdict_per_class
+class _Memo(dict):
+    """fn(key) for each key read, computed on its first read."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+class _Invariants:
+    """What class verdicts read of delta and of gamma apart, each computed on
+    its first read: Tr of a delta or a gamma, N(gamma) (3.1-3.5), the z-core
+    of a delta (the F_q* theorems' exact test), and 3.19's coordinates (a, b)
+    of a delta, (c, d) of a gamma, and b^2.
+
+    A one_verdict_per_class block keeps one, so each is computed once per
+    class or gamma of the sweep; a class verdict outside a block makes its own.
+    """
+
+    __slots__ = ("trace", "norm", "z_core", "split", "square")
+
+    def __init__(self, info, tower: TowerCtx, i: int | None):
+        self.trace = _Memo(tower.trace)
+        self.norm = _Memo(tower.norm)
+        self.z_core = _Memo(lambda delta: _z_core(info, tower, delta, i))
+        self.split = _Memo(tower.split)
+        self.square = _Memo(lambda x: tower.base.mul(x, x))
+
+
+# (ctx, tid, i, d, info, {rep * order + gamma: Verdict}, ctx.order, ctx.q, odd parity,
+# info.needs_d, _Invariants or None) while a sweep runs; see one_verdict_per_class
 _verdicts: ContextVar[tuple | None] = ContextVar("ppkit_verdicts", default=None)
 
 
@@ -122,13 +183,17 @@ def one_verdict_per_class(tid: str, ctx, i: int | None = None, d: int | None = N
     (trace class of delta, gamma) once, returning that verdict for every delta
     of the class.  Any other call takes the full path and reads no table.
 
-    The theorem check runs once, here.  The sweep engine opens the block around
-    one theorem on one field; the table is dropped on the way out, so no
-    verdict outlives the sweep.
+    The theorem check runs once, here.  The class verdicts of the block share
+    one _Invariants, so Tr, N and the z-core are computed once per class or
+    gamma.  The sweep engine opens the block around one theorem on one field;
+    the table and the invariants are dropped on the way out, so nothing
+    outlives the sweep.
     """
     info = theorem_info(tid)
     info.check(ctx, i, d)
-    token = _verdicts.set((ctx, tid, i, d, info, {}))
+    inv = None if info.needs_d else _Invariants(info, ctx, i)
+    bound = (ctx, tid, i, d, info, {}, ctx.order, ctx.q, info.char == "odd", info.needs_d, inv)
+    token = _verdicts.set(bound)
     try:
         yield
     finally:
@@ -156,41 +221,48 @@ def predict(
     its theorem, field, i and d is checked and computed once per
     (trace class of delta, gamma).
     """
-    bound = _verdicts.get()
-    if (bound is not None and bound[0] is ctx
-            and bound[1] == tid and bound[2] == i and bound[3] == d):
-        info, table = bound[4], bound[5]
-        n = ctx.order
-        if not (0 <= delta < n and 0 <= gamma < n) or (delta and info.needs_d):
-            info.check(ctx, i, d, delta=delta, gamma=gamma)  # raises InvalidParam
-    else:
-        info, table = theorem_info(tid), None
-        info.check(ctx, i, d, delta=delta, gamma=gamma)
-    if info.needs_d:
-        return _predict_41(ctx, gamma, d)
     # Every criterion reads delta only through Tr(delta): x -> x + w moves delta
     # by w^q -+ w, which spans ker Tr.  With delta = c0 + c1*alpha the trace is
     # 2*c0 (odd) or c1 (even), so the least delta of that trace stands in for it.
+    bound = _verdicts.get()
+    if (bound is not None and bound[0] is ctx
+            and bound[1] == tid and bound[2] == i and bound[3] == d):
+        _, _, _, _, info, table, n, q, odd, needs_d, _ = bound  # unpacked: a slice would build a tuple
+        if not (0 <= delta < n and 0 <= gamma < n) or (delta and needs_d):
+            info.check(ctx, i, d, delta=delta, gamma=gamma)  # raises InvalidParam
+        if needs_d:
+            return _predict_41(ctx, gamma, d)
+        rep = delta % q if odd else delta - delta % q
+        key = rep * n + gamma  # one int per (class, gamma)
+        v = table.get(key)
+        if v is None:
+            v = table[key] = _class_verdict(tid, info, ctx, rep, gamma, i)
+        return v
+    info = theorem_info(tid)
+    info.check(ctx, i, d, delta=delta, gamma=gamma)
+    if info.needs_d:
+        return _predict_41(ctx, gamma, d)
     rep = delta % ctx.q if ctx.kind == "odd" else delta - delta % ctx.q
-    if table is None:
-        return _class_verdict(tid, info, ctx, rep, gamma, i)
-    key = (rep, gamma)
-    v = table.get(key)
-    if v is None:
-        v = table[key] = _class_verdict(tid, info, ctx, rep, gamma, i)
-    return v
+    return _class_verdict(tid, info, ctx, rep, gamma, i)
 
 
 def _class_verdict(
     tid: str, info, tower: TowerCtx, delta: int, gamma: int, i: int | None
 ) -> Verdict:
-    """The criterion at (delta, gamma) on the tower, computed without the table."""
-    v = _statement_predict(tid, info, tower, delta, gamma, i)
+    """The criterion at (delta, gamma) on the tower, computed without the table,
+    from the invariants of the one_verdict_per_class block bound to this tower,
+    tid and i (a tower theorem's block has d None), else from its own."""
+    bound = _verdicts.get()
+    if bound is not None and bound[0] is tower and bound[1] == tid and bound[2] == i:
+        inv = bound[10]
+    else:
+        inv = _Invariants(info, tower, i)
+    v = _statement_predict(tid, info, tower, delta, gamma, i, inv)
     # with gamma in F_q* and no i, the criterion reduces to "the z-component
     # polynomial permutes F_q"; the normalized cubic/quintic tests decide that
     # exactly at every q, while the stated cases provide the label
     if info.gamma_domain == "Fq_star" and not info.needs_i and v.notes is None:
-        exact = _z_component_permutes(info, tower, delta, gamma, i)
+        exact = _z_component_permutes(tower.base, *_z_terms(info, tower, inv.z_core[delta], gamma))
         if exact != v.predicted:
             if exact:
                 return Verdict(True, "folded", FOLDED)
@@ -199,7 +271,7 @@ def _class_verdict(
 
 
 def _statement_predict(
-    tid: str, info, tower: TowerCtx, delta: int, gamma: int, i: int | None
+    tid: str, info, tower: TowerCtx, delta: int, gamma: int, i: int | None, inv: _Invariants
 ) -> Verdict:
     B = tower.base
     q = tower.q
@@ -212,32 +284,27 @@ def _statement_predict(
         return _violated("gamma not in F_q*")
 
     if tid == "3.19":
-        return _predict_319(tower, delta, gamma)
+        return _predict_319(tower, inv, delta, gamma)
 
-    td = tower.trace(delta)
+    td = inv.trace[delta]
     if info.gamma_domain == "Fq2_star":  # only 3.1-3.5 read Tr(gamma) and N(gamma)
-        tg, ng = tower.trace(gamma), tower.norm(gamma)
+        tg, ng = inv.trace[gamma], inv.norm[gamma]
     g = gamma if gamma_in_base else None  # plain gamma for F_q* statements
 
-    def s(n: int) -> int:
-        return B.scalar(n)
-
-    def sq(x: int) -> bool:
-        return power_class(B, x, 2)
-
+    s = B.scalar
     mul, add, sub, div, powe, neg = B.mul, B.add, B.sub, B.div, B.pow, B.neg
-    half = B.inv(s(2))
+    half = tower._half
 
     if tid == "3.1":
         if gamma_in_base:
-            if q % 3 == 0 and sq(sub(mul(td, td), tg)):
+            if q % 3 == 0 and power_class(B, sub(mul(td, td), tg), 2):
                 return Verdict(True, "3.1(i)")
             if q % 3 == 2 and mul(td, td) == tg:
                 return Verdict(True, "3.1(ii)")
         else:
             if td == 0 and tg == 0:
                 return Verdict(True, "3.1(iii)")
-            if td == 0 and tg != 0 and q % 3 == 0 and sq(neg(div(ng, tg))):
+            if td == 0 and tg != 0 and q % 3 == 0 and power_class(B, neg(div(ng, tg)), 2):
                 return Verdict(True, "3.1(iv)")
             if (
                 td != 0
@@ -247,34 +314,34 @@ def _statement_predict(
                 == mul(ng, add(mul(td, td), mul(s(3), tg)))
             ):
                 return Verdict(True, "3.1(v)")
-        return Verdict(False, "none")
+        return _NONE
 
     if tid == "3.2":
         if gamma_in_base and sub(td, div(tg, s(4))) != 0:
             return Verdict(True, "3.2")
-        return Verdict(False, "none")
+        return _NONE
 
     if tid == "3.3":
         if gamma_in_base and add(td, div(tg, s(4))) != 0:
             return Verdict(True, "3.3")
-        return Verdict(False, "none")
+        return _NONE
 
     if tid == "3.4":
         if gamma_in_base:
             return Verdict(True, "3.4(a)")
         if td == 0:
             return Verdict(True, "3.4(b)")
-        return Verdict(False, "none")
+        return _NONE
 
     if tid == "3.5":
         if td == 0:
             return Verdict(True, "3.5(i)")
         if gamma_in_base:
-            if q % 3 == 0 and sq(sub(div(tg, s(2)), powe(td, 4))):
+            if q % 3 == 0 and power_class(B, sub(div(tg, s(2)), powe(td, 4)), 2):
                 return Verdict(True, "3.5(ii)")
             if q % 3 == 2 and mul(s(2), powe(td, 4)) == tg:
                 return Verdict(True, "3.5(iii)")
-        return Verdict(False, "none")
+        return _NONE
 
     # remaining odd theorems all have gamma in F_q*
     a = mul(td, half)  # 2a = Tr(delta)
@@ -297,9 +364,9 @@ def _statement_predict(
                 B, div(sub(s(1), mul(s(2), g)), s(4))
             ):
                 return Verdict(True, "3.6(v)(a)")
-            if sq(div(add(mul(s(2), mul(a, a)), s(1)), s(2))) and mul(s(2), g) == s(1):
+            if power_class(B, div(add(mul(s(2), mul(a, a)), s(1)), s(2)), 2) and mul(s(2), g) == s(1):
                 return Verdict(True, "3.6(v)(b)")
-        return Verdict(False, "none")
+        return _NONE
 
     if tid == "3.7":
         if q % 5 == 0 and td == 0 and _fourth_or_not_square(B, div(g, s(2))):
@@ -314,7 +381,7 @@ def _statement_predict(
             return Verdict(True, "3.7(iii)")
         if q % 5 == 0 and td != 0 and add(g, mul(s(2), td)) == 0:
             return Verdict(True, "3.7(iv)")
-        return Verdict(False, "none")
+        return _NONE
 
     if tid == "3.8":
         if td == 0:
@@ -323,20 +390,20 @@ def _statement_predict(
             return Verdict(True, "3.8(ii)")
         if q % 5 == 0 and mul(s(2), g) == powe(td, 5):
             return Verdict(True, "3.8(iii)")
-        return Verdict(False, "none")
+        return _NONE
 
     if tid == "3.9":
         if td == 0:
             if add(g, s(2)) != 0:
                 return Verdict(True, "3.9(i)")
-            return Verdict(False, "none")
+            return _NONE
         if q % 5 in (2, 3) and mul(s(40), g) == sub(powe(td, 5), s(80)):
             # with 2a = Tr(delta) this is 5*gamma = 4*a^5 - 10, the form the
             # oracle confirms at q = 7 and q = 13
             return Verdict(True, "3.9(ii)")
         if q % 5 == 0 and g == s(3):
             return Verdict(True, "3.9(iii)")
-        return Verdict(False, "none")
+        return _NONE
 
     if tid == "3.10":
         if td == 0:
@@ -345,7 +412,7 @@ def _statement_predict(
             return Verdict(True, "3.10(ii)")
         if q % 3 == 2 and g == neg(div(powe(td, 4), s(2))):
             return Verdict(True, "3.10(iii)")
-        return Verdict(False, "none")
+        return _NONE
 
     if tid == "3.11":
         if td == 0:
@@ -354,7 +421,7 @@ def _statement_predict(
             return Verdict(True, "3.11(ii)")
         if q % 5 == 0 and g == neg(mul(s(2), td)):
             return Verdict(True, "3.11(iii)")
-        return Verdict(False, "none")
+        return _NONE
 
     if tid == "3.12":
         if td == 0:
@@ -367,7 +434,7 @@ def _statement_predict(
             return Verdict(True, "3.12(iii)")
         if q == 9 and g in (powe(td, 5), sub(powe(td, 5), td)):
             return Verdict(True, "3.12(iv)")
-        return Verdict(False, "none")
+        return _NONE
 
     if tid == "3.13":
         if i is None:
@@ -375,7 +442,7 @@ def _statement_predict(
         if not 1 <= i < B.m:
             return _violated("i out of [1, m)")
         if td == 0:
-            return Verdict(False, "none")
+            return _NONE
         # the z-part a*(u^{k/2} z^{k+1 ... } ...) is additive; it permutes iff
         # (a^2/u)^{k/2} has no root of index k = p^i - 1 in F_q*
         k = B.p**i - 1
@@ -388,14 +455,14 @@ def _statement_predict(
             return Verdict(True, "3.14(a)")
         if q % 3 == 2 and td == 0:
             return Verdict(True, "3.14(b)")
-        return Verdict(False, "none")
+        return _NONE
 
     if tid == "3.15":
         if q % 5 == 0:
             return Verdict(True, "3.15(a)")
         if q % 5 in (2, 3, 4) and td == 0:
             return Verdict(True, "3.15(b)")
-        return Verdict(False, "none")
+        return _NONE
 
     if tid == "3.16":
         return Verdict(
@@ -407,31 +474,30 @@ def _statement_predict(
             return Verdict(True, "3.17(a)")
         if q % 3 == 2 and td == 0:
             return Verdict(True, "3.17(b)")
-        return Verdict(False, "none")
+        return _NONE
 
     if tid == "3.18":
         if q % 5 == 0 and td != s(-1):
             return Verdict(True, "3.18(a)")
         if q % 5 in (2, 3, 4) and td == 0:
             return Verdict(True, "3.18(b)")
-        return Verdict(False, "none")
+        return _NONE
 
     raise UnknownTheorem(f"no predicate for theorem {tid!r}")
 
 
-def _predict_319(tower: TowerCtx, delta: int, gamma: int) -> Verdict:
+def _predict_319(tower: TowerCtx, inv: _Invariants, delta: int, gamma: int) -> Verdict:
     B = tower.base
-    q = tower.q
     m_odd = B.m % 2 == 1
     u = tower.u
-    a, b = tower.split(delta)
-    c, d = tower.split(gamma)
+    b = inv.split[delta][1]
+    b2 = inv.square[b]
+    c, d = inv.split[gamma]
     mul, add = B.mul, B.add
-    b2 = mul(b, b)
     if d == 0:
         if b == 0 or b2 == c:
             return Verdict(True, "3.19(i)")
-        return Verdict(False, "none")
+        return _NONE
     if c == 0:
         cond = add(add(mul(b2, u), b2), mul(d, u)) == 0
         return Verdict(cond and m_odd, "3.19(ii)" if (cond and m_odd) else "none")
@@ -449,11 +515,11 @@ def _predict_41(ctx: FieldCtx, gamma: int, d: int) -> Verdict:
         return _violated("q = 2^m needs m > 1")
     q = 2**m
     if ctx.pow(gamma, q) != gamma:
-        return Verdict(False, "none")
+        return _NONE
     for t in subfield_elements(ctx, q):
         v = ctx.add(ctx.mul(gamma, ctx.add(ctx.pow(t, 3), t)), 1)
         if v == 0:
-            return Verdict(False, "none")
+            return _NONE
     return Verdict(True, "4.1")
 
 

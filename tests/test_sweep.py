@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from ppkit import criteria, gf, sweep
+from ppkit import criteria, families, gf, sweep
 from ppkit.cli import main
 from ppkit.criteria import predict
 from ppkit.errors import InvalidParam, MissingParam, WrongCharacteristic
@@ -543,3 +543,66 @@ def test_the_trace_form_streams_its_one_row(products):
     assert not isinstance(blocks, list)  # order^2 images, read by this row alone
     assert sum(len(blk) for blk in blocks) == field.order
     assert len(products) == 1
+
+
+def _counting(monkeypatch, owner, name):
+    """Patch owner.name to count its calls; returns the list of their args."""
+    calls = []
+    body = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or body(*args))
+    return calls
+
+
+def test_a_sweep_computes_its_invariants_once_per_class_or_gamma(monkeypatch):
+    traces = _counting(monkeypatch, TowerCtx, "trace")
+    norms = _counting(monkeypatch, TowerCtx, "norm")
+    q = 9
+    assert len(sweep_theorem("3.1", 3, 2)) == q**2 * (q**2 - 1)
+    assert len(traces) <= q + q**2 - 1  # Tr of each class, and of each gamma
+    assert len(norms) <= q**2 - 1  # N of each gamma
+    # each families._closed_form call builds one, under whatever name it is imported
+    closed = _counting(monkeypatch, families.ComponentTable, "__init__")
+    cores = _counting(monkeypatch, criteria, "_z_core")
+    q = 25
+    assert len(sweep_theorem("3.6", 5, 2)) == q**2 * (q - 1)
+    assert len(closed) <= q and len(cores) <= q  # one z-core per class
+
+
+@pytest.mark.parametrize("tid, other, p, m", [("3.6", "3.8", 5, 2), ("3.1", "3.2", 3, 2)])
+def test_the_invariants_stay_within_their_block(tid, other, p, m):
+    # the z-core (3.6) and N(gamma) (3.1) depend on u: two towers per base field
+    towers = [theorem_context(tid, p, m, u=u) for u in valid_us(build_field(p, m))[:2]]
+    want = {}
+    for tower in towers:  # swept back to back
+        for r in sweep_theorem(tid, p, m, u=tower.u):
+            if r.delta < tower.q:  # the least delta of its class
+                assert check_single(tid, p, m, r.delta, r.gamma, u=tower.u) == r, r
+                want[tower, r.delta, r.gamma] = criteria.Verdict(r.predicted, r.matched_case, r.note)
+        assert criteria._verdicts.get() is None
+    t1, t2 = towers
+    points = [(delta, gamma) for tower, delta, gamma in want if tower is t1]
+    beside = [predict(other, t1, *pt) for pt in points]  # outside any block
+    with criteria.one_verdict_per_class(tid, t1):
+        assert [predict(tid, t1, *pt) for pt in points] == [want[(t1, *pt)] for pt in points]
+        # t1's invariants are filled now; the other tower and theorem do not read them
+        assert [predict(tid, t2, *pt) for pt in points] == [want[(t2, *pt)] for pt in points]
+        assert [predict(other, t1, *pt) for pt in points] == beside
+    assert criteria._verdicts.get() is None
+
+
+@pytest.mark.parametrize("p, m", [(3, 2), (5, 2), (3, 3)], ids=["F9", "F25", "F27"])
+def test_the_hoisted_z_coefficients_are_the_closed_forms(p, m):
+    tids = [tid for tid, info in THEOREMS.items()
+            if info.gamma_domain == "Fq_star" and not info.needs_i]
+    assert len(tids) == 12  # 3.6-3.12 and 3.14-3.18
+    for tid in tids:
+        info = theorem_info(tid)
+        tower = theorem_context(tid, p, m)
+        inv = criteria._Invariants(info, tower, None)
+        for delta in range(tower.q):
+            for gamma in range(1, tower.q):
+                g2 = families.closed_form_components(
+                    tid, tower, tower.elem(delta), tower.elem(gamma)).g2
+                want = tuple(g2.get((0, k), 0) for k in (5, 3, 1))
+                assert criteria._z_terms(info, tower, inv.z_core[delta], gamma) == want, (
+                    tid, delta, gamma)
