@@ -103,7 +103,7 @@ def _z_core(info, tower: TowerCtx, delta: int, i: int | None) -> tuple[int, int,
     """(e5, e3, e1): the coefficients of z^5, z^3 and z in g2's core part,
     sum_s core^s at v = a, the base coordinate of delta (F_q* theorems are odd).
 
-    They are read off the cached _core_monomials; families._closed_form adds
+    They are read off the cached _core_monomials; closed_form_components adds
     the same monomials, and the linear part, which _z_terms adds here.
     """
     B = tower.base

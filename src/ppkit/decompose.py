@@ -146,8 +146,8 @@ def lemma31_extract(spec: FamilySpec, tower: TowerCtx) -> ComponentTable:
     substitution x(y, z), splits the values into {1, alpha} coordinates,
     interpolates both value tables over F_q x F_q, and drops the constant
     term.  Coefficients are reduced modulo y^q - y and z^q - z, so at small q
-    high-degree terms fold down; comparisons should therefore run on value
-    tables.
+    high-degree terms fold down; ComponentTable.same_values reduces the
+    other pair the same way before it compares.
     """
     delta = tower.elem(spec.delta)
     images = family_images(spec, tower)  # raises KindContextMismatch off a delta-power kind

@@ -57,7 +57,7 @@ def direction_set(
       h - p^j is 0 or the last h walked with no digit below p^j, so the walk
       keeps one row per digit and makes |F| scalar adds per digit;
     - each distinct pair (f(x + h), f(x)) is subtracted once per call, and
-      each distinct difference is divided by h once.
+      each distinct nonzero difference is divided by h once.
     """
     size, p, add, sub, mul, inv = direction_order(ctx), ctx.p, ctx.add, ctx.sub, ctx.mul, ctx.inv
     stop = size
@@ -87,6 +87,9 @@ def direction_set(
                 diffs.clear()
             diffs.update({ab: sub(*ab) for ab in pairs if ab not in diffs})
             got = set(map(diffs.__getitem__, pairs))
+        if 0 in got:  # f(x + h) = f(x) for some x: the quotient 0 needs no division
+            got.discard(0)
+            out.add(0)
         out.update(map(mul, got, repeat(inv(h))))
     return out
 
@@ -115,7 +118,7 @@ def check_complementarity(f: Callable[[int], int], ctx) -> DirectionReport:
     at = [f(x) for x in range(size)].__getitem__
     D = direction_set(at, ctx)
     P = permuting_translate_set(at, ctx)
-    comp = all((m in D) != (ctx.neg(m) in P) for m in range(size))
-    return DirectionReport(
-        frozenset(D), frozenset(P), comp, len(D) + len(P) == size
-    )
+    # m in D <=> -m not in P for every m: D and -P split the field in two
+    sizes = len(D) + len(P) == size
+    comp = sizes and D.isdisjoint(map(ctx.neg, P))
+    return DirectionReport(frozenset(D), frozenset(P), comp, sizes)

@@ -69,6 +69,12 @@ def instantiate_exponent(term, q: int, p: int) -> int:
     return s
 
 
+def fold_exponent(e: int, q: int) -> int:
+    """The exponent below q of x^e modulo x^q - x: both agree at every x in
+    F_q.  e = 0 stays 0, as 0^0 = 1 makes x^0 the constant."""
+    return e if e < q else (e - 1) % (q - 1) + 1
+
+
 def reduce_poly_coeffs(coeffs: dict[int, int], field_ctx: FieldCtx, q: int) -> list[int]:
     """Reduce {exponent: coeff} modulo x^q - x to coefficients indexed 1..q-1.
 
@@ -79,7 +85,7 @@ def reduce_poly_coeffs(coeffs: dict[int, int], field_ctx: FieldCtx, q: int) -> l
     for e, c in coeffs.items():
         if e < 1:
             raise ValueError("exponents must be >= 1")
-        r = e if e < q else (e - 1) % (q - 1) + 1
+        r = fold_exponent(e, q)
         out[r] = field_ctx.add(out[r], c)
     return out[1:]
 
@@ -308,8 +314,9 @@ def family_for_theorem(
 class ComponentTable:
     """Bivariate component pair (g1, g2) over F_q, constants excluded.
 
-    Coefficients are keyed by (deg_y, deg_z).  Equality is decided on the
-    full value table, which sidesteps z-degree aliasing at small q.
+    Coefficients are keyed by (deg_y, deg_z).  Degrees of q and more alias
+    lower ones as functions on F_q x F_q, so same_values compares the pairs
+    reduced modulo y^q - y and z^q - z.
     """
 
     def __init__(self, base: FieldCtx, g1: dict, g2: dict):
@@ -326,47 +333,6 @@ class ComponentTable:
             acc = b.add(acc, term)
         return acc
 
-    def value_tables(self):
-        """[[g(y, z) for z] for y] of g1 and g2, the values eval gives."""
-        b = self.base
-        add, mul = b.add, b.mul
-        # x^k for every degree present, which can reach q or more at small q
-        top = max((k for g in (self.g1, self.g2) for key in g for k in key), default=0)
-        powers = []
-        for x in range(b.q):
-            row = [1]  # 0^0 = 1, as in pow
-            for _ in range(top):
-                row.append(mul(row[-1], x))
-            powers.append(row)
-
-        def table(coeffs):
-            by_dy: dict[int, list] = {}
-            for (dy, dz), c in coeffs.items():
-                by_dy.setdefault(dy, []).append((dz, c))
-            # g(y, z) = sum over dy of y^dy * c_dy(z), with c_dy(z) = sum over dz
-            # of c * z^dz tabulated once per z
-            parts = []
-            for dy, terms in by_dy.items():
-                col = []
-                for pz in powers:
-                    acc = 0
-                    for dz, c in terms:
-                        acc = add(acc, mul(c, pz[dz]))
-                    col.append(acc)
-                parts.append((dy, col))
-            rows = []
-            for py in powers:
-                row = []
-                for z in range(b.q):
-                    acc = 0
-                    for dy, col in parts:
-                        acc = add(acc, mul(py[dy], col[z]))
-                    row.append(acc)
-                rows.append(row)
-            return rows
-
-        return table(self.g1), table(self.g2)
-
     def serialize(self) -> dict:
         return {
             "g1": [[dy, dz, c] for (dy, dz), c in sorted(self.g1.items())],
@@ -374,7 +340,20 @@ class ComponentTable:
         }
 
     def same_values(self, other: "ComponentTable") -> bool:
-        return self.value_tables() == other.value_tables()
+        """Do the two pairs agree at every point of F_q x F_q?  A polynomial of
+        degree below q in each variable is fixed by its values there (Lidl and
+        Niederreiter, ch. 7), so the pairs reduced modulo y^q - y and z^q - z
+        decide it."""
+        add, q = self.base.add, self.base.q
+
+        def reduced(coeffs: dict) -> dict:
+            red = {}
+            for (dy, dz), c in coeffs.items():
+                key = (fold_exponent(dy, q), fold_exponent(dz, q))
+                red[key] = add(red[key], c) if key in red else c
+            return {k: c for k, c in red.items() if c}
+
+        return reduced(self.g1) == reduced(other.g1) and reduced(self.g2) == reduced(other.g2)
 
 
 def closed_form_components(
@@ -394,18 +373,10 @@ def closed_form_components(
     info.check(tower, i)
     if info.gamma_domain == "Fq_star" and gamma.enc >= tower.q:
         raise KindContextMismatch(f"theorem {tid} requires gamma in F_q")
-    return _closed_form(info, tower, delta.enc, gamma.enc, i)
-
-
-def _closed_form(
-    info: TheoremInfo, tower: TowerCtx, delta: int, gamma: int, i: int | None
-) -> ComponentTable:
-    """closed_form_components on encodings, without its checks: for callers
-    that have checked the theorem, the tower, i and gamma already."""
     B = tower.base
     u = tower.u
-    a, b = tower.split(delta)
-    c, d = tower.split(gamma)
+    a, b = tower.split(delta.enc)
+    c, d = tower.split(gamma.enc)
     odd = tower.kind == "odd"
     v = a if odd else b
     g = ({}, {})  # g1, g2

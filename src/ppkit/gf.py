@@ -301,7 +301,7 @@ class ArithCtx:
         2p - 1, where two spreads add without carry, and unspread, of length
         (2p - 1)^k for order p^k, reduces each digit mod p.  spread[exp] lets
         line_products spread a product with the same gather that forms it.  Once
-        built, the scalar inv and FieldCtx.mul read exp and log.
+        built, FieldCtx's scalar inv and mul read exp and log.
         """
         if self._tables is None:
             n, p = self.order, self.p

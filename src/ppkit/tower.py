@@ -91,6 +91,15 @@ class TowerCtx(ArithCtx):
         """N_q^{q^2}(x) as a base-field encoding."""
         return self._in_base(self.mul(x, self.frob(x)), "norm")
 
+    def inv(self, x: int) -> int:
+        """1/x = x^q / N(x) on the base field's scalar ops, so the scalar
+        arithmetic reads none of the tower's own tables."""
+        b = self.base
+        xq = self.frob(x)
+        n_inv = b.inv(self._in_base(self.mul(x, xq), "norm"))  # N(0) = 0 raises DivisionByZero
+        c0, c1 = self.split(xq)
+        return self.from_coords(b.mul(c0, n_inv), b.mul(c1, n_inv))
+
     def _in_base(self, y: int, what: str) -> int:
         y0, y1 = self.split(y)
         if y1 != 0:

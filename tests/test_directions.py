@@ -195,3 +195,50 @@ def test_check_complementarity_evaluates_f_once_per_element(ctx):
     rep = check_complementarity(f, ctx)
     assert sorted(calls) == list(range(ctx.order))
     assert rep.complementary and rep.sizes_sum_to_field
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (2, 3)], ids=["F9^2", "F8^2"])
+def test_complementary_matches_definition(p, m, monkeypatch):
+    # complementary is D and -P disjoint with |D| + |P| = |F|; the definition
+    # asks m in D <=> -m not in P of each element m
+    T = build_tower(build_field(p, m))
+    n = T.order
+    rng = random.Random(n)
+    tables = [[rng.randrange(n) for _ in range(n)] for _ in range(3)]
+    tables += [[rng.randrange(n)] * n, rng.sample(range(n), n)]  # a constant map, a permutation
+
+    def definition(rep):
+        return all((e in rep.directions) != (T.neg(e) in rep.permuting) for e in range(n))
+
+    sloped = []  # the tables with a permuting slope to drop
+    for table in tables:
+        rep = check_complementarity(table.__getitem__, T)
+        assert rep.directions == direction_set(table.__getitem__, T)
+        assert rep.permuting == permuting_translate_set(table.__getitem__, T)
+        assert rep.complementary == definition(rep) is True
+        if rep.permuting:
+            sloped.append(table)
+    assert len(sloped) >= 2
+    full = permuting_translate_set
+    monkeypatch.setattr(
+        "ppkit.directions.permuting_translate_set", lambda f, ctx: set(sorted(full(f, ctx))[1:])
+    )
+    for table in sloped:
+        rep = check_complementarity(table.__getitem__, T)
+        assert rep.complementary == definition(rep) is False
+        assert not rep.sizes_sum_to_field
+
+
+def test_tower_inv_reads_no_tower_tables():
+    # the tower's scalar ops, direction_set's inv included, run on the base
+    # field's tables alone: poisoned exp/log lists of the tower change nothing
+    T = _fresh_tower(7)
+    T.tables()
+    inverses = [T.inv(x) for x in range(1, T.order)]
+    table = random.Random(3).sample(range(T.order), T.order)
+    want = direction_set(table.__getitem__, T)
+    T._exp_list = [0] * len(T._exp_list)
+    T._log_list = [0] * len(T._log_list)
+    assert [T.inv(x) for x in range(1, T.order)] == inverses
+    assert all(T.mul(x, y) == 1 for x, y in zip(range(1, T.order), inverses))
+    assert direction_set(table.__getitem__, T) == want == _definition(T, table)

@@ -22,6 +22,7 @@ from ppkit.families import (
     eval_family,
     family_for_theorem,
     family_images,
+    fold_exponent,
     instantiate_exponent,
     reduce_poly_coeffs,
     theorem_info,
@@ -153,18 +154,71 @@ def test_component_table_eval_and_serialize():
     assert t.same_values(same)
 
 
-@pytest.mark.parametrize("p,m", [(3, 1), (3, 2), (2, 2)], ids=["F3", "F9", "F4"])
-def test_value_tables_match_eval(p, m):
-    # degrees of q and more fold down at small q, so the power table must reach them
+def _value_tables(t: ComponentTable):
+    """g1 and g2 at every point of F_q x F_q, on the scalar eval."""
+    q = t.base.q
+    return tuple([[t.eval(which, y, z) for z in range(q)] for y in range(q)] for which in (1, 2))
+
+
+@pytest.mark.parametrize(
+    "p,m,rounds", [(3, 1, 60), (2, 2, 60), (3, 2, 30), (5, 2, 10)], ids=["F3", "F4", "F9", "F25"]
+)
+def test_same_values_matches_eval_tables(p, m, rounds):
+    # same_values folds the degrees; the reference tabulates eval at every
+    # point, at degrees up to 2q + 1, where y^q and y^(2q-1) act as y
     B = build_field(p, m)
-    q = B.q
+    B.tables()  # the scalar mul on the log tables, for speed
+    q, top = B.q, 2 * B.q + 1
     rng = random.Random(q)
-    keys = [(q + 1, 0), (0, 2 * q), (1, q), (q - 1, q - 1), (0, 1), (2, 3)]
-    t = ComponentTable(B, {k: rng.randrange(1, q) for k in keys}, {k: rng.randrange(q) for k in keys[::2]})
-    assert t.value_tables() == tuple(
-        [[t.eval(which, y, z) for z in range(q)] for y in range(q)] for which in (1, 2)
-    )
-    assert ComponentTable(B, {}, {}).value_tables() == ([[0] * q] * q,) * 2
+
+    def lift(e):  # a degree of at most top that folds onto e < q
+        return e if e == 0 else e + (q - 1) * rng.randrange((top - e) // (q - 1) + 1)
+
+    def random_g():
+        return {(rng.randrange(top + 1), rng.randrange(top + 1)): rng.randrange(1, q)
+                for _ in range(rng.randrange(1, 6))}
+
+    def twin_of(g):  # each degree folded and lifted again, coefficients merged on a clash
+        out = {}
+        for (dy, dz), c in g.items():
+            key = (lift(fold_exponent(dy, q)), lift(fold_exponent(dz, q)))
+            out[key] = B.add(out.get(key, 0), c)
+        return out
+
+    def cancel(g):  # c*y^e z^k - c*y^(e+q-1) z^k: two terms that fold onto one and sum to 0
+        out = dict(g)
+        e, k, c = rng.randrange(1, q + 3), rng.randrange(top + 1), rng.randrange(1, q)
+        for key, coeff in [((e, k), c), ((e + q - 1, k), B.neg(c))]:
+            out[key] = B.add(out.get(key, 0), coeff)
+        return out
+
+    def changed(g):  # one coefficient moved by a nonzero amount
+        out = dict(g)
+        key = rng.choice(sorted(out))
+        out[key] = B.add(out[key], rng.randrange(1, q))
+        return out
+
+    zero = ComponentTable(B, {}, {})
+    assert zero.same_values(ComponentTable(B, cancel({}), cancel({})))
+    got = {True: 0, False: 0}
+    for _ in range(rounds):
+        g = [random_g(), random_g()]
+        t = ComponentTable(B, *g)
+        which = rng.randrange(2)
+        others = [
+            (ComponentTable(B, *map(twin_of, g)), True),
+            (ComponentTable(B, *map(cancel, map(twin_of, g))), True),
+            (ComponentTable(B, *(changed(x) if w == which else x for w, x in enumerate(g))), False),
+            (ComponentTable(B, random_g(), random_g()), None),
+            (zero, None),
+        ]
+        want_t = _value_tables(t)
+        for other, label in others:
+            same = want_t == _value_tables(other)
+            assert t.same_values(other) == other.same_values(t) == same
+            assert label is None or same == label
+            got[same] += 1
+    assert got[True] >= 2 * rounds and got[False] >= rounds
 
 
 def test_closed_form_requires_gamma_in_base():

@@ -560,7 +560,7 @@ def test_a_sweep_computes_its_invariants_once_per_class_or_gamma(monkeypatch):
     assert len(sweep_theorem("3.1", 3, 2)) == q**2 * (q**2 - 1)
     assert len(traces) <= q + q**2 - 1  # Tr of each class, and of each gamma
     assert len(norms) <= q**2 - 1  # N of each gamma
-    # each families._closed_form call builds one, under whatever name it is imported
+    # each closed_form_components call builds one, under whatever name it is imported
     closed = _counting(monkeypatch, families.ComponentTable, "__init__")
     cores = _counting(monkeypatch, criteria, "_z_core")
     q = 25
