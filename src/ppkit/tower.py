@@ -95,7 +95,7 @@ class TowerCtx(ArithCtx):
         """1/x = x^q / N(x) on the base field's scalar ops, so the scalar
         arithmetic reads none of the tower's own tables."""
         b = self.base
-        xq = self.frob(x)
+        xq = self.frob(x)  # once, for N(x) = x * x^q and for the numerator
         n_inv = b.inv(self._in_base(self.mul(x, xq), "norm"))  # N(0) = 0 raises DivisionByZero
         c0, c1 = self.split(xq)
         return self.from_coords(b.mul(c0, n_inv), b.mul(c1, n_inv))
