@@ -42,18 +42,6 @@ class FamilySpec:
     n: int = 2  # trace_composed: extension degree
     g_coeffs: tuple = ()  # trace_composed: a_1..a_{q-1} encodings in F_{q^n}
 
-    def serialize(self) -> dict:
-        return {
-            "kind": self.kind,
-            "terms": [list(t) for t in self.terms],
-            "delta": self.delta,
-            "gamma": self.gamma,
-            "linear_kind": self.linear_kind,
-            "d": self.d,
-            "n": self.n,
-            "g_coeffs": list(self.g_coeffs),
-        }
-
 
 def _exponent_pair(term, p: int) -> tuple[int, int]:
     """(e_q, e_1) of a portable exponent spec; ("ppow", i) is (1, p^i)."""
@@ -179,7 +167,7 @@ def delta_power_rows(spec: FamilySpec, tower: TowerCtx, deltas):
 def family_images(spec: FamilySpec, tower: TowerCtx) -> np.ndarray:
     """f(x) for every encoding x, at spec's delta and gamma, as one int64 vector."""
     [(_, acc, lin)] = delta_power_rows(spec, tower, (spec.delta,))
-    return next(tower.line_rows(acc, tower.line_products(lin, (spec.gamma,))))
+    return next(tower.line_rows(acc, tower.line_products(lin, (spec.gamma,))))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -368,7 +368,8 @@ class ArithCtx:
             yield table[log_lin + log_gammas[lo:lo + step]]
 
     def line_rows(self, acc, blocks):
-        """The vector acc + gamma * lin per row of the blocks of line_products, in order.
+        """acc + gamma * lin per block of line_products, in order: a 2-D block
+        with the vector of one gamma per row.
 
         A point costs acc XOR product for p = 2, and
         unspread[spread acc + product] for odd p, with spread acc made once.
@@ -377,11 +378,11 @@ class ArithCtx:
             self.tables()
         if self.p == 2:
             for blk in blocks:
-                yield from acc ^ blk
+                yield acc ^ blk
         else:
             spread_acc, unspread = self._spread[acc], self._unspread
             for blk in blocks:
-                yield from unspread[spread_acc + blk]
+                yield unspread[spread_acc + blk]
 
     def pow_vec(self, vec: np.ndarray, e: int) -> np.ndarray:
         """Elementwise vec**e as exp[(e * log v) mod (order - 1)]; 0**0 == 1."""

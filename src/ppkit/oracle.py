@@ -32,8 +32,11 @@ def is_bijection(eval_fn: Callable[[int], int], size: int) -> OracleReport:
     return OracleReport(True, None, size)
 
 
-def images_permute(images: np.ndarray, size: int) -> bool:
-    """Fast-path bijection test on a precomputed image vector."""
+def images_permute(images: np.ndarray, size: int):
+    """Fast-path bijection test on a precomputed image vector, or on each row
+    of a 2-D block of them, with one verdict (a list of bools) per row."""
+    if images.ndim == 2:
+        return _rows_permute(images, size)
     if len(images) != size:  # a short vector would pass bincount's minlength
         raise ImageOutOfDomain(f"{len(images)} images for a domain of {size}")
     try:
@@ -43,6 +46,19 @@ def images_permute(images: np.ndarray, size: int) -> bool:
     if len(counts) != size:
         raise ImageOutOfDomain("image vector leaves the codomain")
     return bool(np.count_nonzero(counts) == size)  # size images hit every value: none twice
+
+
+def _rows_permute(block: np.ndarray, size: int) -> list[bool]:
+    """images_permute per row of block, from one bincount: row r's images are
+    counted at r * size + image, after a range check, since an image outside
+    [0, size) would otherwise be counted in a neighbouring row."""
+    rows, width = block.shape
+    if width != size:
+        raise ImageOutOfDomain(f"{width} images a row for a domain of {size}")
+    if block.size and not (block.min() >= 0 and block.max() < size):
+        raise ImageOutOfDomain("image block leaves the codomain")
+    counts = np.bincount((block + np.arange(0, rows * size, size)[:, None]).ravel(), minlength=rows * size)
+    return counts.reshape(rows, size).all(axis=1).tolist()  # size images a row hit every value: none twice
 
 
 def multivar_bijection(G: Callable, q: int, n: int) -> OracleReport:

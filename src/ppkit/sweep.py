@@ -13,6 +13,7 @@ import contextlib
 import csv
 import io
 import json
+from itertools import chain
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -89,7 +90,7 @@ def _records(ctx, tid: str, p: int, m: int, i, d, deltas, gammas) -> list[SweepR
     predict, permutes = criteria.predict, images_permute
     with criteria.one_verdict_per_class(tid, ctx, i, d):
         for delta, acc, blocks in rows:
-            for gamma, images in zip(gammas, ctx.line_rows(acc, blocks), strict=True):
+            for gamma, images in zip(gammas, chain.from_iterable(ctx.line_rows(acc, blocks)), strict=True):
                 pp = permutes(images, order)
                 v = predict(tid, ctx, delta, gamma, i, d)
                 records.append(

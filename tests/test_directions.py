@@ -1,7 +1,9 @@
+import functools
 import random
 
 import pytest
 
+from ppkit import directions, gf
 from ppkit.directions import (
     check_complementarity,
     direction_set,
@@ -112,30 +114,56 @@ def test_size_guard():
         build_tower(build_field(2, 2)),
         build_tower(build_field(5, 1)),
         build_tower(build_field(7, 1)),
+        build_tower(build_field(2, 4)),
     ],
-    ids=["F8", "F9", "F3^2", "F4^2", "F5^2", "F7^2"],
+    ids=["F8", "F9", "F3^2", "F4^2", "F5^2", "F7^2", "F16^2"],
 )
 def test_direction_set_matches_definition(ctx):
     rng = random.Random(ctx.order)
-    n, add, mul, pw, sub, div = ctx.order, ctx.add, ctx.mul, ctx.pow, ctx.sub, ctx.div
-    tables = [rng.sample(range(n), n) for _ in range(3)]  # permutations
-    tables += [[rng.randrange(n) for _ in range(n)] for _ in range(3)]
-    for _ in range(4):  # a*x^p + b*x^(p^2) + c: additive, so few directions
-        a, b, c = (rng.randrange(n) for _ in range(3))
-        tables.append(
-            [add(add(mul(a, pw(x, ctx.p)), mul(b, pw(x, ctx.p**2))), c) for x in range(n)]
-        )
+    n, add, mul, pw, sub = ctx.order, ctx.add, ctx.mul, ctx.pow, ctx.sub
+    inv = functools.cache(ctx.inv)  # one inverse per x - y, not per pair
+
+    def div(a, b):
+        return mul(a, inv(b))
+
+    if n > 81:  # one random map keeps it within 1.5 s
+        assert (n - 1) * n > gf._LINE_BLOCK  # p = 2 walks every h: their rows span several blocks
+        tables = [[rng.randrange(n) for _ in range(n)]]
+    else:
+        tables = [rng.sample(range(n), n) for _ in range(3)]  # permutations
+        tables += [[rng.randrange(n) for _ in range(n)] for _ in range(3)]
+        for _ in range(4):  # a*x^p + b*x^(p^2) + c: additive, so few directions
+            a, b, c = (rng.randrange(n) for _ in range(3))
+            tables.append(
+                [add(add(mul(a, pw(x, ctx.p)), mul(b, pw(x, ctx.p**2))), c) for x in range(n)]
+            )
     values = rng.sample(range(n), 3)  # 3 values: each pair (f(x + h), f(x)) recurs often
     tables.append([rng.choice(values) for _ in range(n)])
     restricts = [False, True] if isinstance(ctx, TowerCtx) else [False]
     for table in tables:
         for restrict in restricts:
             want = {
-                div(sub(table[x], table[y]), sub(x, y))
-                for x in range(n) for y in range(n)
-                if x != y and (not restrict or ctx.split(sub(x, y))[1] == 0)  # x - y in F_q
+                div(sub(table[x], table[y]), d)
+                for x in range(n) for y in range(n) if x != y
+                for d in [sub(x, y)] if not restrict or ctx.split(d)[1] == 0  # x - y in F_q
             }
             assert direction_set(lambda x: table[x], ctx, restrict_to_base=restrict) == want
+
+
+@pytest.mark.parametrize("block", [1, 400])
+def test_direction_set_does_not_depend_on_the_blocks(monkeypatch, block):
+    # 1 image: one h a block, and a dict for every map.  400: the rows of 7
+    # h of F_49 a block, 3 of F_81 and 8 of F_32, and a dense table of the
+    # differences for a map of at most 20 values.  The memo is cleared often.
+    monkeypatch.setattr(gf, "_LINE_BLOCK", block)
+    monkeypatch.setattr(directions, "_DIFF_MEMO", 8)
+    for ctx in (build_tower(build_field(7, 1)), build_tower(build_field(3, 2)), build_field(2, 5)):
+        rng = random.Random(ctx.order)
+        values = rng.sample(range(ctx.order), 3)
+        for table in [rng.choices(range(ctx.order), k=ctx.order), rng.choices(values, k=ctx.order)]:
+            for restrict in [False, True] if isinstance(ctx, TowerCtx) else [False]:
+                got = direction_set(table.__getitem__, ctx, restrict_to_base=restrict)
+                assert got == _definition(ctx, table, restrict), (ctx, restrict)
 
 
 def _fresh_tower(p: int) -> TowerCtx:
@@ -144,9 +172,13 @@ def _fresh_tower(p: int) -> TowerCtx:
     return TowerCtx(cached.base, cached.u)
 
 
-def _definition(ctx, table) -> set[int]:
+def _definition(ctx, table, restrict: bool = False) -> set[int]:
     n, sub, div = ctx.order, ctx.sub, ctx.div
-    return {div(sub(table[x], table[y]), sub(x, y)) for x in range(n) for y in range(n) if x != y}
+    return {
+        div(sub(table[x], table[y]), sub(x, y))
+        for x in range(n) for y in range(n)
+        if x != y and (not restrict or ctx.split(sub(x, y))[1] == 0)  # x - y in F_q
+    }
 
 
 def test_direction_set_adds_once_per_digit_and_element():

@@ -88,7 +88,8 @@ def test_delta_power_rows_match_eval_family(p, m):
             for (delta, acc, lin), (_, gamma) in zip(rows, pairs):
                 spec = family_for_theorem(tid, delta, gamma, i=i)
                 want = [eval_family(spec, T, x).enc for x in range(n)]
-                assert next(T.line_rows(acc, T.line_products(lin, [gamma]))).tolist() == want, (tid, i, delta, gamma)
+                [row] = next(T.line_rows(acc, T.line_products(lin, [gamma])))  # one block of one row
+                assert row.tolist() == want, (tid, i, delta, gamma)
                 assert family_images(spec, T).tolist() == want
 
 
@@ -249,20 +250,6 @@ def test_closed_forms_are_pinned():
                         table = closed_form_components(info.tid, T, T.elem(delta), T.elem(gamma), i=i)
                         digest.update(json.dumps(table.serialize()).encode())
     assert digest.hexdigest() == "0e617345c73f1bc6702c5befb0d78d848d8482ac0ac0b346fdf4c02765d61c70"
-
-
-def test_serialize_round_trip():
-    spec = family_for_theorem("3.13", 3, 2, i=1)
-    d = spec.serialize()
-    assert d["terms"] == [["ppow", 1]]
-    assert d["kind"] == "delta_power"
-    assert FamilySpec(
-        kind=d["kind"],
-        terms=tuple(tuple(t) for t in d["terms"]),
-        delta=d["delta"],
-        gamma=d["gamma"],
-        linear_kind=d["linear_kind"],
-    ) == spec
 
 
 T4 = build_tower(build_field(2, 2))

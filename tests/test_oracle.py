@@ -32,6 +32,35 @@ def test_images_permute():
             images_permute(np.array(images), 3)
 
 
+@pytest.mark.parametrize("size", [25, 49, 64])
+def test_images_permute_on_a_block_is_row_by_row(size):
+    rng = np.random.default_rng(size)
+    block = np.array([rng.permutation(size) for _ in range(5)] + [rng.integers(0, size, size) for _ in range(5)])
+    block[7] = block[6]  # two equal non-permutation rows, and one that misses a single value
+    block[8] = np.arange(size)
+    block[8][3] = 4
+    block = block[rng.permutation(len(block))]
+    got = images_permute(block, size)
+    assert got == [images_permute(row, size) for row in block] and got.count(True) == 5
+    assert all(v is True or v is False for v in got)
+    assert images_permute(block[:1], size) == [images_permute(block[0], size)]
+
+
+@pytest.mark.parametrize("size", [25, 49, 64])
+def test_images_permute_on_a_block_keeps_images_in_their_row(size):
+    # row 0 misses 0 where row 1 holds size, so offset by its row, size would
+    # be counted as row 0's 0; and row 2 misses size - 1 where row 3 holds -1
+    rows = np.array([np.arange(size)] * 4)
+    rows[0][0], rows[1][0] = 1, size
+    rows[2][-1], rows[3][-1] = 0, -1
+    for block in (rows[:2], rows[2:]):
+        with pytest.raises(ImageOutOfDomain):
+            images_permute(block, size)
+    for width in (size - 1, size + 1):
+        with pytest.raises(ImageOutOfDomain):
+            images_permute(np.zeros((2, width), dtype=np.int64), size)
+
+
 def test_multivar_bijection():
     G = lambda t: (t[1], t[0])
     assert multivar_bijection(G, 3, 2).is_permutation

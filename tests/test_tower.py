@@ -160,7 +160,7 @@ def test_line_vec_is_add_of_mul(kind, p, m):
     lin = rng.integers(0, ctx.order, size=3 * ctx.order)
     acc[:2 * ctx.order:2] = 0  # zeros in both, in acc only, in lin only, in neither
     lin[:ctx.order] = 0
-    rows = ctx.line_rows(acc, ctx.line_products(lin, range(ctx.order)))
+    rows = np.concatenate(list(ctx.line_rows(acc, ctx.line_products(lin, range(ctx.order)))))
     for g, row in enumerate(rows):
         assert row.tolist() == ctx.add_vec(acc, ctx.mul_vec(g, lin)).tolist(), g
     assert g == ctx.order - 1
@@ -179,10 +179,11 @@ def test_line_vec_block_rows_are_the_int_vectors(kind, p, m):
     lin = rng.integers(0, ctx.order, size=2 * ctx.order)
     lin[:ctx.order] = 0
     gs = [0] + rng.integers(0, ctx.order, size=ctx.order).tolist() + [0]
-    block = np.array(list(ctx.line_rows(acc, ctx.line_products(lin, np.array(gs)))))
+    block = np.concatenate(list(ctx.line_rows(acc, ctx.line_products(lin, np.array(gs)))))
     assert block.shape == (len(gs), len(lin))
     for j, g in enumerate(gs):
-        assert block[j].tolist() == next(ctx.line_rows(acc, ctx.line_products(lin, [g]))).tolist(), (j, g)
+        [row] = next(ctx.line_rows(acc, ctx.line_products(lin, [g])))
+        assert block[j].tolist() == row.tolist(), (j, g)
 
 
 def test_pow_vec_matches_pow():
