@@ -32,7 +32,7 @@ def is_bijection(eval_fn: Callable[[int], int], size: int) -> OracleReport:
     return OracleReport(True, None, size)
 
 
-def images_permute(images: np.ndarray, size: int):
+def images_permute(images: np.ndarray, size: int) -> bool | list[bool]:
     """Fast-path bijection test on a precomputed image vector, or on each row
     of a 2-D block of them, with one verdict (a list of bools) per row."""
     if images.ndim == 2:

@@ -120,12 +120,7 @@ def test_size_guard():
 )
 def test_direction_set_matches_definition(ctx):
     rng = random.Random(ctx.order)
-    n, add, mul, pw, sub = ctx.order, ctx.add, ctx.mul, ctx.pow, ctx.sub
-    inv = functools.cache(ctx.inv)  # one inverse per x - y, not per pair
-
-    def div(a, b):
-        return mul(a, inv(b))
-
+    n, add, mul, pw = ctx.order, ctx.add, ctx.mul, ctx.pow
     if n > 81:  # one random map keeps it within 1.5 s
         assert (n - 1) * n > gf._LINE_BLOCK  # p = 2 walks every h: their rows span several blocks
         tables = [[rng.randrange(n) for _ in range(n)]]
@@ -142,11 +137,7 @@ def test_direction_set_matches_definition(ctx):
     restricts = [False, True] if isinstance(ctx, TowerCtx) else [False]
     for table in tables:
         for restrict in restricts:
-            want = {
-                div(sub(table[x], table[y]), d)
-                for x in range(n) for y in range(n) if x != y
-                for d in [sub(x, y)] if not restrict or ctx.split(d)[1] == 0  # x - y in F_q
-            }
+            want = _definition(ctx, table, restrict)
             assert direction_set(lambda x: table[x], ctx, restrict_to_base=restrict) == want
 
 
@@ -173,12 +164,12 @@ def _fresh_tower(p: int) -> TowerCtx:
 
 
 def _definition(ctx, table, restrict: bool = False) -> set[int]:
-    n, sub, div = ctx.order, ctx.sub, ctx.div
-    return {
-        div(sub(table[x], table[y]), sub(x, y))
-        for x in range(n) for y in range(n)
-        if x != y and (not restrict or ctx.split(sub(x, y))[1] == 0)  # x - y in F_q
-    }
+    """(f(x) - f(y)) / (x - y) over x != y, with y = x - d; with restrict only
+    for d in F_q, which a tower encodes below q."""
+    n, sub, mul = ctx.order, ctx.sub, ctx.mul
+    inv = functools.cache(ctx.inv)  # one inverse per d, not per pair
+    ds = range(1, ctx.q if restrict else n)
+    return {mul(sub(table[x], table[sub(x, d)]), inv(d)) for x in range(n) for d in ds}
 
 
 def test_direction_set_adds_once_per_digit_and_element():

@@ -48,12 +48,14 @@ def test_images_permute_on_a_block_is_row_by_row(size):
 
 @pytest.mark.parametrize("size", [25, 49, 64])
 def test_images_permute_on_a_block_keeps_images_in_their_row(size):
-    # row 0 misses 0 where row 1 holds size, so offset by its row, size would
-    # be counted as row 0's 0; and row 2 misses size - 1 where row 3 holds -1
-    rows = np.array([np.arange(size)] * 4)
-    rows[0][0], rows[1][0] = 1, size
-    rows[2][-1], rows[3][-1] = 0, -1
-    for block in (rows[:2], rows[2:]):
+    # offset by its row, an image of size in row 0 would be counted as the 0
+    # that row 1 misses, and an image of -1 in row 1 as the size - 1 that
+    # row 0 misses: each block would read as one permutation row
+    up = np.array([np.arange(size)] * 2)
+    up[0][0], up[1][0] = size, 1
+    down = np.array([np.arange(size)] * 2)
+    down[0][-1], down[1][0] = 0, -1
+    for block in (up, down):
         with pytest.raises(ImageOutOfDomain):
             images_permute(block, size)
     for width in (size - 1, size + 1):
