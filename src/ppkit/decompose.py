@@ -19,7 +19,7 @@ from .errors import DependentBasis, SingularMatrix
 from .families import ComponentTable, FamilySpec, family_images
 from .gf import FieldCtx, FieldElem, _poly_to_enc, build_field
 from .oracle import is_bijection, multivar_bijection
-from .tower import TowerCtx, proof_substitution
+from .tower import TowerCtx, substitution_alpha
 
 
 def mat_inv(ctx: FieldCtx, M: list[list[int]]) -> list[list[int]]:
@@ -149,22 +149,16 @@ def lemma31_extract(spec: FamilySpec, tower: TowerCtx) -> ComponentTable:
     high-degree terms fold down; ComponentTable.same_values reduces the
     other pair the same way before it compares.
     """
-    delta = tower.elem(spec.delta)
     images = family_images(spec, tower)  # raises KindContextMismatch off a delta-power kind
     B = tower.base
     q = B.q
     # x(y, z) has coordinates (y, c1(z)), so x = y + q * c1(z)
-    c1 = [proof_substitution(tower, delta, B.elem(0), B.elem(z)).enc // q for z in range(q)]
-    V = images[np.arange(q)[:, None] + q * np.array(c1)]
-    g1 = _interp2d(B, V % q)
-    g2 = _interp2d(B, V // q)
+    base = np.arange(q)  # F_q, as y and as z
+    V = images[base[:, None] + q * substitution_alpha(tower, spec.delta, base)]  # V[y, z]
+    g1, g2 = _interp2d(B, V % q, V // q)
     g1.pop((0, 0), None)  # the constant of the decomposition, discarded
     g2.pop((0, 0), None)
     return ComponentTable(B, g1, g2)
-
-
-# the elements of one broadcast product in _mat_mul, which bounds its memory
-_MAT_MUL_BLOCK = 2**18
 
 
 @functools.cache
@@ -187,30 +181,52 @@ def _vandermonde_inv(p: int, m: int) -> np.ndarray:
     return out
 
 
-def _mat_mul(ctx: FieldCtx, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """X . Y over ctx for square int64 matrices of encodings.
+@functools.cache
+def _vandermonde_digits(p: int, m: int) -> np.ndarray:
+    """W^-1 of _vandermonde_inv as an F_p-linear map on p-adic digits: the
+    (q m x q m) float64 matrix, read-only, whose block (i, k) is the m x m
+    matrix of multiplication by W^-1[i, k] on the digits of an encoding
+    (column d holds the digits of W^-1[i, k] * x^d, whose encoding is p^d).
 
-    The products X[i, k] * Y[k, j] are formed by broadcast, a block of k at a
-    time, and summed over k one pair at a time: unspread adds two spreads
-    without carry, not more.
+    Its product with a matrix of digits is exact in float64: each sum has q m
+    terms, each a product of two digits, so it stays below
+    q m (p - 1)^2 <= 2^49 for q <= 2^16, short of the 2^53 where float64
+    stops holding every integer.  Built once per (p, m), as _vandermonde_inv.
     """
-    n = X.shape[0]
-    step = max(1, _MAT_MUL_BLOCK // (n * n))
-    acc = np.zeros((n, n), dtype=np.int64)
-    for lo in range(0, n, step):
-        prods = ctx.mul_vec(X[:, lo:lo + step, None], Y[None, lo:lo + step, :])  # (i, k, j)
-        for k in range(prods.shape[1]):
-            acc = ctx.add_vec(acc, prods[:, k])
-    return acc
-
-
-def _interp2d(ctx: FieldCtx, V) -> dict:
-    """Exact bivariate interpolation on all of F_q x F_q (reduced exponents).
-
-    V[y][z] is the value table; the coefficient of y^i z^j is C[i][j] for
-    C = Winv . V . Winv^T, returned as Python ints.
-    """
-    Winv = _vandermonde_inv(ctx.p, ctx.m)
-    C = _mat_mul(ctx, _mat_mul(ctx, Winv, np.asarray(V, dtype=np.int64)), Winv.T).tolist()
+    ctx = build_field(p, m)
     q = ctx.q
-    return {(i, j): C[i][j] for i in range(q) for j in range(q) if C[i][j] != 0}
+    assert q * m * (p - 1) ** 2 < 2**53, "a digit product would not be exact in float64"
+    places = p ** np.arange(m)
+    prods = ctx.mul_vec(_vandermonde_inv(p, m)[:, :, None], places)  # (i, k, d)
+    out = np.empty((q, m, q, m))  # (i, e, k, d)
+    for e, place in enumerate(places):
+        out[:, e] = prods // place % p
+    out = out.reshape(q * m, q * m)
+    out.flags.writeable = False
+    return out
+
+
+def _interp2d(ctx: FieldCtx, *tables) -> list[dict]:
+    """Exact bivariate interpolation on all of F_q x F_q (reduced exponents),
+    one dict of Python ints per value table.
+
+    V[y][z] is a value table; the coefficient of y^i z^j is C[i][j] for
+    C = Winv . V . Winv^T, the transpose of Winv . (Winv . V)^T.  Each Winv .
+    is one float64 product of _vandermonde_digits with p-adic digits, mod p:
+    the digits of Winv . V, then of C^T.  The tables stand side by side as
+    the columns, so two products serve them all.
+    """
+    q, m, p, n = ctx.q, ctx.m, ctx.p, len(tables)
+    D = _vandermonde_digits(p, m)
+    places = p ** np.arange(m)
+    V = np.asarray(tables, dtype=np.int64)[..., None] // places % p  # (table, y, z, digit)
+    A = D @ V.transpose(1, 3, 0, 2).reshape(q * m, n * q)
+    A %= p  # the digits of Winv . V: (i, digit), (table, z)
+    Ct = D @ A.reshape(q, m, n, q).transpose(3, 1, 2, 0).reshape(q * m, n * q)
+    Ct %= p  # the digits of C^T: (j, digit), (table, i)
+    C = (places @ Ct.reshape(q, m, n * q)).astype(np.int64).reshape(q, n, q).transpose(1, 2, 0)
+    out = []
+    for c in C:  # (i, j) of one table
+        i, j = np.nonzero(c)
+        out.append(dict(zip(zip(i.tolist(), j.tolist()), c[i, j].tolist())))
+    return out

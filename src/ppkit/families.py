@@ -78,8 +78,16 @@ def reduce_poly_coeffs(coeffs: dict[int, int], field_ctx: FieldCtx, q: int) -> l
     return out[1:]
 
 
+def _check_encoding(ctx, name: str, enc: int) -> None:
+    """Raise InvalidParam unless enc encodes an element of ctx: the scalar
+    and vector arithmetic read nothing outside [0, order)."""
+    if not 0 <= enc < ctx.order:
+        raise InvalidParam(f"{name}={enc} out of [0, {ctx.order})")
+
+
 def _check_delta_power(spec: FamilySpec, ctx) -> None:
-    """Raise unless spec is a delta-power family and ctx a tower of its parity."""
+    """Raise unless spec is a delta-power family, ctx a tower of its parity,
+    and its delta and gamma encodings in that tower."""
     if spec.kind not in ("delta_power", "even_delta_power"):
         raise KindContextMismatch(f"{spec.kind} is not a delta-power family")
     if not isinstance(ctx, TowerCtx):
@@ -87,6 +95,8 @@ def _check_delta_power(spec: FamilySpec, ctx) -> None:
     parity = "odd" if spec.kind == "delta_power" else "even"
     if ctx.kind != parity:
         raise KindContextMismatch(f"{spec.kind} requires {parity} characteristic")
+    _check_encoding(ctx, "delta", spec.delta)
+    _check_encoding(ctx, "gamma", spec.gamma)
 
 
 def eval_family(spec: FamilySpec, ctx, x):
@@ -95,6 +105,7 @@ def eval_family(spec: FamilySpec, ctx, x):
         _check_delta_power(spec, ctx)
         if isinstance(x, TowerElem):
             x = x.enc
+        _check_encoding(ctx, "x", x)
         q = ctx.q
         xq = ctx.frob(x)
         if spec.kind == "delta_power":
@@ -117,6 +128,7 @@ def eval_family(spec: FamilySpec, ctx, x):
             raise ValueError("trace_form requires odd d")
         if isinstance(x, FieldElem):
             x = x.enc
+        _check_encoding(ctx, "x", x)
         w = ctx.mul(ctx.pow(x, q), x)  # x^{q+1}
         t = ctx.add(w, ctx.mul(w, w))  # x^{q+1} + x^{2q+2}
         tr = trace_sum(ctx, t, q, spec.d)
@@ -130,6 +142,7 @@ def eval_family(spec: FamilySpec, ctx, x):
             raise ValueError("g_coeffs must have length q - 1 (reduce first)")
         if isinstance(x, FieldElem):
             x = x.enc
+        _check_encoding(ctx, "x", x)
         tr = trace_sum(ctx, x, q, spec.n)
         acc = x
         tpow = 1

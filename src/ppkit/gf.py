@@ -216,7 +216,10 @@ class ArithCtx:
     neg act digit by digit mod p on the p-adic digits of the encoding (a
     tower's encoding is its coordinates' digits), reading no table, so they
     stay an independent check of add_vec; the rest, including the vector
-    arithmetic, is derived from those and mul.
+    arithmetic, is derived from those and mul.  The scalar add, sub, neg, mul
+    and inv also take int64 arrays of encodings, elementwise, by the same
+    formulas: a field's mul and inv read its exp and log as arrays where ints
+    read them as lists.
     """
 
     def __init__(self, p: int, order: int):
@@ -226,6 +229,9 @@ class ArithCtx:
         # them on every call
         self._tables = None
         self._exp_list = None
+        # p^j for each digit of an encoding: add and sub take a fixed number
+        # of digits, so an encoding out of range cannot keep them looping
+        self._places = tuple(p**j for j in range(len(_enc_to_poly(order - 1, p))))
 
     def elem(self, enc: int):
         if not 0 <= enc < self.order:
@@ -236,34 +242,44 @@ class ArithCtx:
         """Embedding of the integer n (image of n * 1)."""
         return n % self.p
 
-    def add(self, x: int, y: int) -> int:
+    def add(self, x, y):
+        """x + y, digit by digit mod p (XOR for p = 2)."""
         p = self.p
         if self.order == p:
             return (x + y) % p
-        out, place = 0, 1
-        while x or y:
+        if p == 2:
+            return x ^ y
+        out = 0
+        for place in self._places:
             out += (x % p + y % p) % p * place
-            x //= p
-            y //= p
-            place *= p
+            x = x // p  # not //=, which would write into an array argument
+            y = y // p
         return out
 
-    def sub(self, x: int, y: int) -> int:
+    def sub(self, x, y):
+        """x - y, digit by digit mod p (XOR for p = 2)."""
         p = self.p
         if self.order == p:
             return (x - y) % p
-        out, place = 0, 1
-        while x or y:
+        if p == 2:
+            return x ^ y
+        out = 0
+        for place in self._places:
             out += (x % p - y % p) % p * place
-            x //= p
-            y //= p
-            place *= p
+            x = x // p  # not //=, which would write into an array argument
+            y = y // p
         return out
 
-    def neg(self, x: int) -> int:
+    def neg(self, x):
         return self.sub(0, x)
 
-    def inv(self, x: int) -> int:
+    def inv(self, x):
+        """1/x through exp and log once they are built; DivisionByZero at 0."""
+        if isinstance(x, np.ndarray):
+            if not x.all():
+                raise DivisionByZero("inverse of zero")
+            self.tables()
+            return self._exp[self.order - 1 - self._log[x]]
         if x == 0:
             raise DivisionByZero("inverse of zero")
         if self._exp_list is not None:
@@ -422,10 +438,15 @@ class FieldCtx(ArithCtx):
 
     # -- integer-encoding arithmetic ----------------------------------------
 
-    def mul(self, x: int, y: int) -> int:
+    def mul(self, x, y):
         exp = self._exp_list
         if exp is not None:
-            return exp[self._log_list[x] + self._log_list[y]]
+            try:
+                return exp[self._log_list[x] + self._log_list[y]]
+            except TypeError:  # an array indexes no list: the same exp and log as arrays
+                return self.mul_vec(x, y)
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            return self.mul_vec(x, y)
         if self.m == 1:
             return x * y % self.p
         prod = _poly_mul(_enc_to_poly(x, self.p), _enc_to_poly(y, self.p), self.p)

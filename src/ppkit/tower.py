@@ -9,6 +9,8 @@ enc(c0) + q * enc(c1).
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import InvalidParam, LeftBaseField
 from .gf import ArithCtx, ArithElem, FieldCtx, FieldElem, power_class, trace_sum
 
@@ -63,7 +65,9 @@ class TowerCtx(ArithCtx):
 
     # -- integer-encoding arithmetic ------------------------------------------
 
-    def mul(self, x: int, y: int) -> int:
+    def mul(self, x, y):
+        """x * y on base-field coordinates, through the base's scalar mul and
+        add: ints, or int64 arrays elementwise."""
         b = self.base
         x0, x1 = self.split(x)
         y0, y1 = self.split(y)
@@ -91,18 +95,19 @@ class TowerCtx(ArithCtx):
         """N_q^{q^2}(x) as a base-field encoding."""
         return self._in_base(self.mul(x, self.frob(x)), "norm")
 
-    def inv(self, x: int) -> int:
+    def inv(self, x):
         """1/x = x^q / N(x) on the base field's scalar ops, so the scalar
-        arithmetic reads none of the tower's own tables."""
+        arithmetic reads none of the tower's own tables; ints, or int64 arrays
+        elementwise."""
         b = self.base
         xq = self.frob(x)  # once, for N(x) = x * x^q and for the numerator
         n_inv = b.inv(self._in_base(self.mul(x, xq), "norm"))  # N(0) = 0 raises DivisionByZero
         c0, c1 = self.split(xq)
         return self.from_coords(b.mul(c0, n_inv), b.mul(c1, n_inv))
 
-    def _in_base(self, y: int, what: str) -> int:
+    def _in_base(self, y, what: str):
         y0, y1 = self.split(y)
-        if y1 != 0:
+        if y1.any() if isinstance(y1, np.ndarray) else y1:  # np.any costs microseconds on an int
             raise LeftBaseField(f"{what} {y} of {self!r} has a nonzero alpha part")
         return y0
 
@@ -160,10 +165,14 @@ def proof_substitution(t: TowerCtx, delta: TowerElem, y: FieldElem, z: FieldElem
     so that x^q + x + delta = z + b*alpha.  Here (a, b) are the coordinates
     of delta.
     """
+    return TowerElem(t, t.from_coords(y.enc, substitution_alpha(t, delta.enc, z.enc)))
+
+
+def substitution_alpha(t: TowerCtx, delta: int, z):
+    """The alpha coordinate of x(y, z) of proof_substitution, which does not
+    depend on y, at the encoding z or elementwise on an int64 array of them."""
     b = t.base
-    a_enc, b_enc = t.split(delta.enc)
+    a_enc, b_enc = t.split(delta)
     if t.kind == "odd":
-        c1 = b.neg(b.mul(b.sub(z.enc, b_enc), t._half))
-    else:
-        c1 = b.add(z.enc, a_enc)
-    return TowerElem(t, t.from_coords(y.enc, c1))
+        return b.neg(b.mul(b.sub(z, b_enc), t._half))
+    return b.add(z, a_enc)

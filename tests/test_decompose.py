@@ -1,14 +1,12 @@
 import functools
 import random
 
-import numpy as np
 import pytest
 
 from ppkit.decompose import (
     DecompositionConfig,
     _basis_matrix,
     _interp2d,
-    _mat_mul,
     _vandermonde_inv,
     component_map,
     lemma31_extract,
@@ -60,9 +58,12 @@ def test_vandermonde_inverse_closed_form_is_mat_inv(p, m):
 
 
 def test_vandermonde_inverse_times_vandermonde_is_identity():
+    # table a holds y^a at every z, column a of W: Winv . W = I leaves it
+    # the one coefficient (a, 0), through the float64 digit products
     F = build_field(7, 2)
-    W = np.array([[F.pow(x, j) for j in range(F.q)] for x in range(F.q)], dtype=np.int64)
-    assert _mat_mul(F, W, _vandermonde_inv(7, 2)).tolist() == np.eye(F.q, dtype=np.int64).tolist()
+    W = [[F.pow(x, j) for j in range(F.q)] for x in range(F.q)]
+    tables = [[[W[y][a]] * F.q for y in range(F.q)] for a in range(F.q)]
+    assert _interp2d(F, *tables) == [{(a, 0): 1} for a in range(F.q)]
 
 
 def test_dependent_basis_rejected():
@@ -166,6 +167,19 @@ def test_lemma31_extract_matches_closed_form():
         assert clo.same_values(ext), (tid, t.q, delta, gamma, i)
 
 
+@pytest.mark.parametrize("m", [4, 5], ids=["F81", "F243"])
+def test_lemma31_extract_matches_closed_form_at_large_q(m):
+    # the digit matrix has q m = 324 and 1,215 rows: its float64 products
+    # must stay exact over sums of that many digit products
+    T = build_tower(build_field(3, m))
+    rng = random.Random(m)
+    for tid in ("3.6", "3.14"):
+        delta, gamma = rng.randrange(T.order), rng.randrange(1, T.q)
+        ext = lemma31_extract(family_for_theorem(tid, delta, gamma), T)
+        clo = closed_form_components(tid, T, T.elem(delta), T.elem(gamma))
+        assert clo.same_values(ext), (tid, delta, gamma)
+
+
 def test_lemma31_extract_rejects_flat_kinds():
     T = build_tower(build_field(3, 1))
     with pytest.raises(KindContextMismatch):
@@ -184,7 +198,7 @@ def test_interp2d_reproduces_value_tables(p, m):
     q = F.q
     rng = random.Random(q)
     V = [[rng.randrange(q) for _ in range(q)] for _ in range(q)]
-    coeffs = _interp2d(F, V)
+    [coeffs] = _interp2d(F, V)
     assert all(type(v) is int for key, c in coeffs.items() for v in (*key, c))
     table = ComponentTable(F, coeffs, {})
     assert [[table.eval(1, y, z) for z in range(q)] for y in range(q)] == V

@@ -1,16 +1,17 @@
 import functools
 import random
 
+import numpy as np
 import pytest
 
-from ppkit import directions, gf
+from ppkit import gf
 from ppkit.directions import (
     check_complementarity,
     direction_set,
     permuting_translate_set,
 )
 from ppkit.errors import DomainTooLarge, KindContextMismatch
-from ppkit.families import eval_family, family_for_theorem
+from ppkit.families import eval_family, family_for_theorem, family_images
 from ppkit.gf import build_field
 from ppkit.oracle import is_bijection
 from ppkit.tower import TowerCtx, build_tower
@@ -141,13 +142,54 @@ def test_direction_set_matches_definition(ctx):
             assert direction_set(lambda x: table[x], ctx, restrict_to_base=restrict) == want
 
 
+@pytest.mark.parametrize(
+    "p,m", [(2, 2), (2, 3), (5, 1), (7, 1), (3, 2), (5, 2)],
+    ids=["F4^2", "F8^2", "F5^2", "F7^2", "F9^2", "F25^2"],
+)
+def test_direction_set_matches_definition_on_family_images(p, m):
+    # p = 2, odd p at m = 1, and m = 2, where a base-field coordinate has two
+    # digits; a random map too below |F| = 625, where the definition's
+    # |F|^2 scalar quotients take about a second a map
+    T = build_tower(build_field(p, m))
+    rng = random.Random(T.order)
+    tid = "3.6" if T.kind == "odd" else "3.19"
+    tables = [family_images(family_for_theorem(tid, rng.randrange(T.order), 0), T).tolist()]
+    if T.order < 625:
+        tables.append([rng.randrange(T.order) for _ in range(T.order)])
+    for table in tables:
+        for restrict in [False, True]:
+            got = direction_set(table.__getitem__, T, restrict_to_base=restrict)
+            assert got == _definition(T, table, restrict), (tid, restrict)
+
+
+def test_direction_set_makes_no_scalar_tower_calls():
+    # the translations, differences, inverses and quotients are int64 arrays,
+    # handed to the tower's add, sub, inv and mul a block at a time
+    T = _fresh_tower(7)
+    calls = {"scalar": 0, "array": 0}
+
+    def counted(op):
+        def call(*args):
+            calls["array" if any(isinstance(a, np.ndarray) for a in args) else "scalar"] += 1
+            return op(*args)
+        return call
+
+    for name in ("add", "sub", "mul", "inv"):
+        setattr(T, name, counted(getattr(T, name)))
+    table = family_images(family_for_theorem("3.6", 40, 0), build_tower(T.base)).tolist()
+    got = direction_set(table.__getitem__, T)
+    assert calls["scalar"] == 0
+    assert 0 < calls["array"] <= 8  # a handful a block: F_49's 24 h make one
+    for name in ("add", "sub", "mul", "inv"):
+        delattr(T, name)
+    assert got == _definition(T, table)
+
+
 @pytest.mark.parametrize("block", [1, 400])
 def test_direction_set_does_not_depend_on_the_blocks(monkeypatch, block):
-    # 1 image: one h a block, and a dict for every map.  400: the rows of 7
-    # h of F_49 a block, 3 of F_81 and 8 of F_32, and a dense table of the
-    # differences for a map of at most 20 values.  The memo is cleared often.
+    # 1 image: one h a block.  400: the rows of 8 h of F_49 a block, 4 of
+    # F_81 and 12 of F_32, whose walk of 31 h ends in a short block
     monkeypatch.setattr(gf, "_LINE_BLOCK", block)
-    monkeypatch.setattr(directions, "_DIFF_MEMO", 8)
     for ctx in (build_tower(build_field(7, 1)), build_tower(build_field(3, 2)), build_field(2, 5)):
         rng = random.Random(ctx.order)
         values = rng.sample(range(ctx.order), 3)
@@ -173,9 +215,9 @@ def _definition(ctx, table, restrict: bool = False) -> set[int]:
 
 
 def test_direction_set_adds_once_per_digit_and_element():
-    # |F| scalar adds per p-adic digit of the encoding build the translation
-    # rows, and the pairs are subtracted, never added: two adds per (x, h)
-    # would make 2 * 48 * 49 = 4,704
+    # one array add per block of h builds the translation rows, and the pairs
+    # are subtracted, never added: two scalar adds per (x, h) would make
+    # 2 * 48 * 49 = 4,704
     T = _fresh_tower(7)
     table = random.Random(7).sample(range(T.order), T.order)
     calls = []

@@ -71,6 +71,30 @@ def test_family_kinds_need_matching_context():
             family_images(s, ctx)
 
 
+def test_out_of_range_encodings_raise_invalid_param():
+    # each is refused before any arithmetic: a negative delta or x once made
+    # the digit loop of the scalar add run forever, and family_images read a
+    # negative delta through numpy's wrap-around
+    T = build_tower(build_field(3, 1))
+    F = build_field(2, 3)
+    for delta, gamma in [(-1, 1), (9, 1), (1, -1), (1, 9)]:
+        spec = family_for_theorem("3.6", delta, gamma)
+        with pytest.raises(InvalidParam):
+            eval_family(spec, T, 0)
+        with pytest.raises(InvalidParam):
+            family_images(spec, T)
+        with pytest.raises(InvalidParam):
+            next(delta_power_rows(spec, T, (0,)))
+    for spec, ctx in [
+        (family_for_theorem("3.6", 1, 1), T),
+        (family_for_theorem("4.1", 0, 1, d=3), F),
+        (FamilySpec(kind="trace_composed", n=3, g_coeffs=(1,)), F),
+    ]:
+        for x in (-1, ctx.order):
+            with pytest.raises(InvalidParam):
+                eval_family(spec, ctx, x)
+
+
 @pytest.mark.parametrize(
     "p,m", [(3, 1), (3, 2), (2, 1), (2, 3), (5, 1), (7, 1)],
     ids=["F3^2", "F9^2", "F2^2", "F8^2", "F5^2", "F7^2"],

@@ -98,6 +98,29 @@ def test_add_sub_neg_act_on_coefficients(p, m):
             assert F.sub(x, y) == coefficient_wise(operator.sub, x, y)
 
 
+class _Bounded(int):
+    """An int whose floor divisions are counted: a digit loop that does not
+    end fails the test at once instead of hanging it."""
+
+    divisions = 0
+
+    def __floordiv__(self, other):
+        _Bounded.divisions += 1
+        if _Bounded.divisions > 100:
+            raise AssertionError("the digit loop does not end")
+        return _Bounded(int(self) // other)
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (3, 3)])
+def test_add_and_sub_take_a_fixed_number_of_digits(p, m):
+    # -1 floors to -1 forever, so a loop until the operands reach 0 never ended
+    F = build_field(p, m)
+    for op in (F.add, F.sub):
+        _Bounded.divisions = 0
+        assert 0 <= op(_Bounded(5), _Bounded(-1)) < F.q
+        assert _Bounded.divisions == 2 * m
+
+
 @pytest.mark.parametrize("p,m", [(3, 2), (2, 3), (5, 1)])
 def test_pow_and_fermat(p, m):
     F = build_field(p, m)

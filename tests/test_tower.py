@@ -3,12 +3,13 @@ import random
 import numpy as np
 import pytest
 
-from ppkit.errors import InvalidParam, LeftBaseField, MixedContexts
+from ppkit.errors import DivisionByZero, InvalidParam, LeftBaseField, MixedContexts
 from ppkit.gf import _CTX_TOKEN, FieldCtx, build_field, power_class, trace_sum
 from ppkit.tower import (
     TowerElem,
     build_tower,
     proof_substitution,
+    substitution_alpha,
     valid_us,
 )
 
@@ -79,6 +80,24 @@ def test_add_sub_neg_act_on_coordinates(p, m):
         for y in range(T.order):
             assert T.add(x, y) == coordinate_wise(b.add, x, y)
             assert T.sub(x, y) == coordinate_wise(b.sub, x, y)
+
+
+@pytest.mark.parametrize("p,m", TOWERS)
+def test_scalar_ops_take_arrays(p, m):
+    # the tower's add, sub, neg, mul and inv, and its base field's, on int64
+    # arrays equal the same op on each int
+    T = build_tower(build_field(p, m))
+    rng = np.random.default_rng(T.order)
+    for ctx in (T, T.base):
+        x, y = rng.integers(0, ctx.order, size=(2, 300))
+        y[y == 0] = 1
+        for op in (ctx.add, ctx.sub, ctx.mul):
+            assert op(x, y).tolist() == [op(a, b) for a, b in zip(x.tolist(), y.tolist())]
+        assert ctx.neg(x).tolist() == [ctx.neg(a) for a in x.tolist()]
+        assert ctx.inv(y).tolist() == [ctx.inv(b) for b in y.tolist()]
+        with pytest.raises(DivisionByZero):
+            ctx.inv(np.array([1, 0]))
+    assert T.norm(x).tolist() == [T.norm(a) for a in x.tolist()]
 
 
 def test_trace_norm_values():
@@ -259,6 +278,9 @@ def test_proof_substitution_identity(p, m):
                 else:
                     got = T.add(T.add(T.frob(x.enc), x.enc), delta)
                     assert got == T.from_coords(z, b)
+        # the alpha coordinate at every z at once, as lemma31_extract reads it
+        alphas = substitution_alpha(T, delta, np.arange(B.q)).tolist()
+        assert alphas == [proof_substitution(T, de, B.elem(0), B.elem(z)).enc // B.q for z in range(B.q)]
 
 
 def test_proof_substitution_is_bijective_in_yz():
