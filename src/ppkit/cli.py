@@ -12,6 +12,8 @@ import dataclasses
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _escape
+from typing import Callable
 
 from . import sweep as sweep_mod
 from .decompose import lemma31_extract
@@ -42,63 +44,153 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _add_field_args(p):
-    p.add_argument("--p", type=int, required=True, help="characteristic")
-    p.add_argument("--m", type=int, required=True, help="extension degree of F_q")
-    p.add_argument("--u", type=int, default=None, help="override the tower's u")
+class _Flag:
+    """One `--flag value` option of a subcommand, as build_parser declares it
+    to argparse and as _read_argv reads it.  dest is the Namespace attribute,
+    and the flag is --dest with - for _; the flags of one group exclude each
+    other.  A plain class, as a named tuple would cost each import of the
+    CLI a class build."""
+
+    __slots__ = ("dest", "help", "type", "required", "default", "choices", "group")
+
+    def __init__(self, dest: str, help: str | None = None,
+                 type: Callable[[str], object] | None = None, *, required: bool = False,
+                 default=None, choices: tuple | None = None, group: str | None = None):
+        self.dest, self.help, self.type, self.required = dest, help, type, required
+        self.default, self.choices, self.group = default, choices, group
 
 
-def _add_theorem_args(p):
-    p.add_argument("--theorem", required=True, help="theorem id, e.g. 3.6")
-    p.add_argument("--i", type=int, default=None, help="exponent parameter i")
-    p.add_argument("--d", type=int, default=None, help="odd extension degree d")
-
-
-def _add_point_args(p):
-    _add_theorem_args(p)
-    delta = p.add_mutually_exclusive_group()
-    delta.add_argument("--delta", type=int, default=None, help="delta encoding in F_{q^2}")
-    delta.add_argument(
-        "--trdelta",
-        type=int,
-        default=None,
-        help="base-field encoding of Tr(delta); picks the least matching delta",
+@functools.cache
+def _grammar() -> dict[str, tuple[str, dict[str, _Flag]]]:
+    """Every subcommand's help and its flags by --name, in the order --help
+    lists them: the one declaration that build_parser and _read_argv both
+    read, built on first use."""
+    field = (
+        _Flag("p", "characteristic", int, required=True),
+        _Flag("m", "extension degree of F_q", int, required=True),
+        _Flag("u", "override the tower's u", int),
     )
-    p.add_argument("--gamma", type=int, default=None, help="gamma encoding")
+    theorem = (
+        _Flag("theorem", "theorem id, e.g. 3.6", required=True),
+        _Flag("i", "exponent parameter i", int),
+        _Flag("d", "odd extension degree d", int),
+    )
+    point = field + theorem + (
+        _Flag("delta", "delta encoding in F_{q^2}", int, group="delta"),
+        _Flag("trdelta", "base-field encoding of Tr(delta); picks the least matching delta", int,
+              group="delta"),
+        _Flag("gamma", "gamma encoding", int),
+    )
+    sweep = field + theorem + (
+        _Flag("gamma_domain",
+              "restrict gamma to the theorem's hypothesis (default) or probe all of F_{q^2}",
+              choices=("stated", "full"), default="stated"),
+        _Flag("out", "output path (default stdout)"),
+        _Flag("format", choices=("jsonl", "csv"), default="jsonl"),
+    )
+
+    def command(help, flags):
+        return help, {"--" + f.dest.replace("_", "-"): f for f in flags}
+
+    return {
+        "field-info": command("describe F_q and its tower", field),
+        "check": command("compare criterion and oracle at one point", point),
+        "sweep": command("exhaustive (delta, gamma) sweep", sweep),
+        "decompose": command("closed-form vs extracted components", point),
+        "directions": command("direction/permuting-slope duality", point),
+    }
 
 
 @functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def build_parser() -> _Parser:
     ap = _Parser(prog="ppkit", description="permutation family toolkit")
     sub = ap.add_subparsers(dest="cmd", required=True)
-
-    fi = sub.add_parser("field-info", parents=[], help="describe F_q and its tower")
-    _add_field_args(fi)
-
-    ck = sub.add_parser("check", help="compare criterion and oracle at one point")
-    _add_field_args(ck)
-    _add_point_args(ck)
-
-    sw = sub.add_parser("sweep", help="exhaustive (delta, gamma) sweep")
-    _add_field_args(sw)
-    _add_theorem_args(sw)
-    sw.add_argument(
-        "--gamma-domain",
-        choices=["stated", "full"],
-        default="stated",
-        help="restrict gamma to the theorem's hypothesis (default) or probe all of F_{q^2}",
-    )
-    sw.add_argument("--out", default=None, help="output path (default stdout)")
-    sw.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
-
-    de = sub.add_parser("decompose", help="closed-form vs extracted components")
-    _add_field_args(de)
-    _add_point_args(de)
-
-    di = sub.add_parser("directions", help="direction/permuting-slope duality")
-    _add_field_args(di)
-    _add_point_args(di)
+    for cmd, (help, flags) in _grammar().items():
+        sp = sub.add_parser(cmd, help=help)
+        groups = {None: sp}
+        for name, flag in flags.items():
+            if flag.group not in groups:
+                groups[flag.group] = sp.add_mutually_exclusive_group()
+            groups[flag.group].add_argument(name, type=flag.type, required=flag.required,
+                                            default=flag.default, choices=flag.choices, help=flag.help)
     return ap
+
+
+def _read_argv(argv) -> argparse.Namespace | None:
+    """The Namespace that build_parser().parse_args(argv) returns, read without
+    argparse; or None.
+
+    It reads only a subcommand followed by `--flag value` pairs: each flag one
+    of the subcommand's, given once, with a value that does not start with
+    '-', converted by the flag's type and within its choices; every required
+    flag given, and no two flags of one group.  Anything else (--help, usage
+    errors, negative values, repeated flags, --flag=value) gets None, and
+    argparse reads it.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    if len(argv) % 2 == 0:  # an empty argv too
+        return None
+    command = _grammar().get(argv[0])
+    if command is None:
+        return None
+    _, flags = command
+    given = {}
+    for name, value in zip(argv[1::2], argv[2::2]):
+        flag = flags.get(name)
+        if flag is None or name in given or value.startswith("-"):
+            return None
+        if flag.type is not None:
+            try:
+                value = flag.type(value)
+            except (TypeError, ValueError):  # what argparse reports as an invalid value
+                return None
+        if flag.choices is not None and value not in flag.choices:
+            return None
+        given[name] = value
+    out, groups = {"cmd": argv[0]}, set()
+    for name, flag in flags.items():
+        if name in given:
+            if flag.group is not None:
+                if flag.group in groups:
+                    return None
+                groups.add(flag.group)
+            out[flag.dest] = given[name]
+        elif flag.required:
+            return None
+        else:
+            out[flag.dest] = flag.default
+    return argparse.Namespace(**out)
+
+
+def _dumps(obj, nl: str = "\n") -> str:
+    """json.dumps(obj, indent=2), byte for byte, without json's pure-Python
+    indent encoder.
+
+    Dicts with str keys, lists, str, int, bool and None are laid out here,
+    strings through json's C escaper and ints by int.__repr__.  Any other
+    value is json.dumps's own, indented to its depth, which is exact since a
+    JSON text holds no newline but those of its layout.  nl is the newline
+    and indent that close obj.
+    """
+    kind = type(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is str:
+        return _escape(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    inner = nl + "  "
+    if kind is list and obj:
+        return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in obj]) + nl + "]"
+    if kind is dict and obj and all(type(k) is str for k in obj):
+        items = [_escape(k) + ": " + _dumps(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    return json.dumps(obj, indent=2).replace("\n", nl)
 
 
 def _resolve_delta(ctx, args) -> int:
@@ -128,7 +220,7 @@ def _cmd_field_info(args) -> int:
         "tower_order": tower.order,
         "valid_us": valid_us(base),
     }
-    print(json.dumps(info, indent=2))
+    print(_dumps(info))
     return EXIT_OK
 
 
@@ -138,7 +230,7 @@ def _cmd_check(args) -> int:
     if args.gamma is None:
         raise PPKitError("check requires --gamma")
     rec = sweep_mod.check_on(ctx, args.theorem, delta, args.gamma, i=args.i, d=args.d)
-    print(json.dumps(rec.serialize(), indent=2))
+    print(_dumps(rec.serialize()))
     return EXIT_DISAGREE if sweep_mod.disagreements([rec]) else EXIT_OK
 
 
@@ -178,19 +270,14 @@ def _cmd_decompose(args) -> int:
     extracted = lemma31_extract(spec, tower)
     closed = closed_form_components(args.theorem, tower, tower.elem(spec.delta), tower.elem(spec.gamma), i=args.i)
     match = closed.same_values(extracted)
-    print(
-        json.dumps(
-            {
-                "theorem": args.theorem,
-                "delta": spec.delta,
-                "gamma": spec.gamma,
-                "closed_form": closed.serialize(),
-                "extracted": extracted.serialize(),
-                "values_match": match,
-            },
-            indent=2,
-        )
-    )
+    print(_dumps({
+        "theorem": args.theorem,
+        "delta": spec.delta,
+        "gamma": spec.gamma,
+        "closed_form": closed.serialize(),
+        "extracted": extracted.serialize(),
+        "values_match": match,
+    }))
     return EXIT_OK if match else EXIT_DISAGREE
 
 
@@ -210,12 +297,14 @@ def _cmd_directions(args) -> int:
     }
     if args.gamma is not None:  # an explicit 0 asks whether f itself permutes
         out["gamma_permutes"] = spec.gamma in report.permuting
-    print(json.dumps(out, indent=2))
+    print(_dumps(out))
     return EXIT_OK if report.complementary else EXIT_DISAGREE
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _read_argv(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     handlers = {
         "field-info": _cmd_field_info,
         "check": _cmd_check,

@@ -6,12 +6,15 @@ import sys
 from pathlib import Path
 
 import argparse
+import contextlib
+import io
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import ppkit
 from ppkit import families
-from ppkit.cli import _resolve_delta, build_parser, main
+from ppkit.cli import _dumps, _grammar, _read_argv, _resolve_delta, build_parser, main
 from ppkit.errors import PPKitError
 from ppkit.families import eval_family, family_for_theorem
 from ppkit.gf import build_field
@@ -152,6 +155,31 @@ DIRECTIONS_STDOUT = {
 @pytest.mark.parametrize("argv,want", DIRECTIONS_STDOUT.values(), ids=list(DIRECTIONS_STDOUT))
 def test_directions_stdout_is_pinned(capsys, argv, want):
     code, out, _ = run_cli(capsys, "directions", *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
+# sha256 of stdout of the other JSON-printing commands, as printed by
+# json.dumps(..., indent=2)
+STDOUT = {
+    "check-F8": ("check --p 2 --m 3 --theorem 3.19 --delta 9 --gamma 5",
+                 "662c905c8f0373eeacefe9760b1d33de500381e37b3e22f625798c68567320d4"),
+    "check-F3-note": ("check --p 3 --m 1 --theorem 3.14 --delta 0 --gamma 5",
+                      "9698829f4a08fad56d5b85dc8978971b43d5a2903dd488f23cf9855f8b84a248"),
+    "decompose-F9": ("decompose --p 3 --m 2 --theorem 3.6 --delta 40 --gamma 2",
+                     "dba8dc6e68416091fe31206a4cb68daabc8d60785df4cc8e4f03f101e413b94c"),
+    "decompose-F5": ("decompose --p 5 --m 1 --theorem 3.14 --delta 7 --gamma 3",
+                     "4225d99f5bccbef03594d05b460f0c1739fc4052e08cdda03a88ed47e68d096c"),
+    "field-info-F9": ("field-info --p 3 --m 2",
+                      "6b31526e2796cea7177864d53c7eb766ffc046a6423625c9685f7b995b018df5"),
+    "field-info-F16": ("field-info --p 2 --m 4",
+                       "f7e49ff8ef02c6bbd7b0f486b80330d93b9f525d88b42b75cd5c984fd1a5c4be"),
+}
+
+
+@pytest.mark.parametrize("argv,want", STDOUT.values(), ids=list(STDOUT))
+def test_stdout_is_pinned(capsys, argv, want):
+    code, out, _ = run_cli(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == want
 
@@ -377,3 +405,106 @@ def test_check_resolves_its_field_once(capsys, monkeypatch):
         assert code == 0 and json.loads(out)["u"] == canonical
     # one field per check; the least admissible u is searched for once
     assert calls == {"theorem_context": 2, "build_tower": 2, "_admissible": canonical + 1}
+
+
+def _value(flag):
+    """Values of a flag that do not start with '-': mostly well-formed."""
+    if flag.choices is not None:
+        good = st.sampled_from(flag.choices)
+    elif flag.type is int:
+        good = st.integers(0, 60).map(str)
+    else:
+        good = st.sampled_from(["3.6", "3.14", "x.jsonl"])
+    bad = st.sampled_from(["", " -3", "+4", "1.5", "x", "3 4", "٣"]) | st.text(max_size=4).filter(
+        lambda v: not v.startswith("-"))
+    return st.integers(0, 9).flatmap(lambda k: bad if k == 0 else good)
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand and its flags as the grammar declares them, then up to
+    two corruptions; (argv, whether it was corrupted)."""
+    grammar = _grammar()
+    cmd = draw(st.sampled_from(list(grammar)))
+    _, flags = grammar[cmd]
+    names = [n for n, f in flags.items() if f.required or draw(st.booleans())]
+    if "--delta" in names and "--trdelta" in names:
+        names.remove(draw(st.sampled_from(["--delta", "--trdelta"])))
+    names = draw(st.permutations(names))
+    pairs = [[name, draw(_value(flags[name]))] for name in names]
+    corruptions = draw(st.lists(st.sampled_from([
+        "unknown", "repeat", "missing-value", "value", "equals", "help", "both-deltas", "drop",
+        "empty",
+    ]), max_size=2))
+    argv = [cmd, *(a for pair in pairs for a in pair)]
+    for kind in corruptions:
+        if kind == "unknown":
+            argv[1:1] = [draw(st.sampled_from(["--bogus", "--gamma-d", "--P", "-p", "--"])), "1"]
+        elif kind == "repeat":
+            name = draw(st.sampled_from(list(flags)))
+            argv += [name, draw(_value(flags[name]))]
+        elif kind == "missing-value" and len(argv) > 1:
+            del argv[draw(st.integers(1, len(argv) - 1))]
+        elif kind == "value" and len(argv) > 1:
+            argv[draw(st.integers(1, len(argv) - 1))] = draw(st.sampled_from(
+                ["-1", "x", "", "99999999999999999999", "bogus", "--theorem", "1e3"]))
+        elif kind == "equals" and len(argv) > 2:
+            at = draw(st.integers(1, len(argv) - 2))
+            argv[at:at + 2] = [f"{argv[at]}={argv[at + 1]}"]
+        elif kind == "help":
+            argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["-h", "--help"])))
+        elif kind == "both-deltas" and "--delta" in flags:
+            argv += ["--delta", "1", "--trdelta", "2"]
+        elif kind == "drop" and len(argv) > 2:
+            at = draw(st.integers(1, len(argv) - 2))
+            del argv[at:at + 2]
+        elif kind == "empty":
+            argv = []
+    return argv, bool(corruptions)
+
+
+_POINT = "check --p 3 --m 1 --theorem 3.14 --gamma 1"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv())
+@example(([], True))
+@example(([*_POINT.split(), "--delta", "1", "--trdelta", "2"], True))
+@example(([*_POINT.split(), "--p", "3"], True))
+@example(([*_POINT.split(), "--delta"], True))
+@example(([*_POINT.split(), "--delta", "-1"], True))
+@example(([*_POINT.split(), "--delta=1"], True))
+@example(([*_POINT.split(), "-h"], True))
+@example(([*_POINT.split(), "--bogus", "1"], True))
+@example(("sweep --p 3 --m 1 --theorem 3.14 --format xml".split(), True))
+@example(("field-info --p x --m 1".split(), True))
+def test_reader_returns_what_argparse_returns(case):
+    argv, corrupted = case
+    got = _read_argv(list(argv))
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            want = build_parser().parse_args(list(argv))
+    except SystemExit:
+        assert got is None, argv
+        return
+    if got is not None:
+        assert vars(got) == vars(want), argv
+        assert list(vars(got)) == list(vars(want))
+    else:  # argv as the grammar declares it is the reader's to read
+        assert corrupted, argv
+
+
+_text = st.text(st.sampled_from('a"\\/\x00\x1f\x7f\n\t\u00e9\u2028\ud800\U0001f600 ')) | st.text()
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2**100, 2**100) | _text
+    | st.floats(),  # not a kind the writer lays out: json.dumps writes it
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_text, inner, max_size=4)
+    | st.tuples(inner, inner) | st.dictionaries(st.integers(), inner, max_size=2),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_writer_matches_json_dumps_indent_2(obj):
+    assert _dumps(obj) == json.dumps(obj, indent=2)

@@ -214,6 +214,21 @@ def _definition(ctx, table, restrict: bool = False) -> set[int]:
     return {mul(sub(table[x], table[sub(x, d)]), inv(d)) for x in range(n) for d in ds}
 
 
+def test_direction_set_inverts_its_walk_once_per_tower():
+    # the walked h and their inverses are kept on the context, per end of the walk
+    T = _fresh_tower(7)
+    calls = []
+    inv = T.inv
+    T.inv = lambda x: calls.append(x) or inv(x)
+    rng = random.Random(11)
+    tables = [rng.sample(range(T.order), T.order), rng.choices(range(T.order), k=T.order)]
+    for restrict in [False, True]:
+        got = [direction_set(table.__getitem__, T, restrict_to_base=restrict) for table in tables]
+        assert len(calls) == 1 + restrict
+        fresh = _fresh_tower(7)
+        assert got == [direction_set(table.__getitem__, fresh, restrict_to_base=restrict) for table in tables]
+
+
 def test_direction_set_adds_once_per_digit_and_element():
     # one array add per block of h builds the translation rows, and the pairs
     # are subtracted, never added: two scalar adds per (x, h) would make
