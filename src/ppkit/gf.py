@@ -229,7 +229,7 @@ class ArithCtx:
         # them on every call
         self._tables = None
         self._exp_list = None
-        self._direction_walks = {}  # by stop: directions.direction_set's walk and its inverses
+        self._direction_walks = {}  # directions.direction_set's walk and inverses, by its end
         # p^j for each digit of an encoding: add and sub take a fixed number
         # of digits, so an encoding out of range cannot keep them looping
         self._places = tuple(p**j for j in range(len(_enc_to_poly(order - 1, p))))

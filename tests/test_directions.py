@@ -316,7 +316,8 @@ def test_tower_inv_reads_no_tower_tables():
     T.tables()
     inverses = [T.inv(x) for x in range(1, T.order)]
     table = random.Random(3).sample(range(T.order), T.order)
-    want = direction_set(table.__getitem__, T)
+    # on another tower: T keeps the inverses of its first direction_set call
+    want = direction_set(table.__getitem__, _fresh_tower(7))
     T._exp_list = [0] * len(T._exp_list)
     T._log_list = [0] * len(T._log_list)
     assert [T.inv(x) for x in range(1, T.order)] == inverses
