@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DependentBasis, SingularMatrix
+from .errors import DependentBasis, DomainTooLarge, SingularMatrix
 from .families import ComponentTable, FamilySpec, family_images
 from .gf import FieldCtx, FieldElem, _poly_to_enc, build_field
 from .oracle import is_bijection, multivar_bijection
@@ -195,7 +195,8 @@ def _vandermonde_digits(p: int, m: int) -> np.ndarray:
     """
     ctx = build_field(p, m)
     q = ctx.q
-    assert q * m * (p - 1) ** 2 < 2**53, "a digit product would not be exact in float64"
+    if q * m * (p - 1) ** 2 >= 2**53:
+        raise DomainTooLarge(f"F_{q}: a digit product would not be exact in float64")
     places = p ** np.arange(m)
     prods = ctx.mul_vec(_vandermonde_inv(p, m)[:, :, None], places)  # (i, k, d)
     out = np.empty((q, m, q, m))  # (i, e, k, d)

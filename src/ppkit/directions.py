@@ -48,8 +48,8 @@ def direction_set(
       -(f(y + h) - f(y)) at y = x - h.  The digits of -h are those of h
       negated, so exactly one of the two has a top digit up to p // 2, and
       the walk visits those h: [p^t, (p // 2 + 1) p^t) for each p^t below
-      the end.  The walk and the inverses of its h are built once per
-      context and end (_walk);
+      the end.  The walk and the inverses of its h are kept in the
+      context's store, once per end (_walk);
     - a block holds the differences f(x + h) - f(x) at every x for as many h
       as fit in one _LINE_BLOCK (one h where |F| alone is more); each
       distinct nonzero difference of a row is divided by its h once, and a
@@ -99,20 +99,18 @@ def _walk(ctx, stop: int):
     """(P, lows, highs, hs, invs) of direction_set: P, the low digits and high
     parts of an encoding, the walked h below stop and their inverses.  They
     depend on the context and stop alone, so they are built once per stop,
-    as read-only int64 arrays kept on the context, as its tables are."""
-    walk = ctx._direction_walks.get(stop)
-    if walk is None:
+    in the context's store of read-only arrays (ArithCtx.kept)."""
+
+    def build():
         size, p = ctx.order, ctx.p
         P = 1
         while P * p * P * p <= size:
             P *= p
         tops = [p**t for t in range(size.bit_length()) if p**t < stop]
         hs = np.concatenate([np.arange(top, (p // 2 + 1) * top) for top in tops])
-        walk = (P, np.arange(P), np.arange(0, size, P), hs, ctx.inv(hs))
-        for a in walk[1:]:
-            a.flags.writeable = False
-        ctx._direction_walks[stop] = walk
-    return walk
+        return P, np.arange(P), np.arange(0, size, P), hs, ctx.inv(hs)
+
+    return ctx.kept(("walk", stop), build)
 
 
 def permuting_translate_set(f: Callable[[int], int], ctx) -> set[int]:

@@ -159,22 +159,33 @@ def delta_power_rows(spec: FamilySpec, tower: TowerCtx, deltas):
 
     The one vector evaluation of a delta-power family; spec gives the terms
     and the linear part, its own delta and gamma are not read.  acc and lin
-    are int64 vectors indexed by encoding.  h(y) = sum_i y^{s_i} does not
-    depend on delta, so it is tabulated once, at every element of the tower
-    (one pow_vec per term, order * 8 bytes), and each row is the gather
+    are int64 vectors indexed by encoding, lin read-only.  x^q -+ x, both
+    linear parts and h(y) = sum_i y^{s_i} do not depend on delta or gamma,
+    so they are kept in the tower's store (ArithCtx.kept): the vectors once
+    per tower, h once per term tuple, each order * 8 bytes, with h
+    tabulated at every element of the tower.  Each row is then the gather
     acc = h[x^q -+ x + delta]: exact, as h is tabulated at every encoding
     the core can take.  A spec or context that eval_family refuses raises
     the same KindContextMismatch, when the first row is drawn.
     """
     _check_delta_power(spec, tower)
-    xs = np.arange(tower.order)
-    xq = tower.pow_vec(xs, tower.q)
-    core0 = tower.add_vec(xq, tower.mul_vec(tower.scalar(-1), xs))  # x^q -+ x
-    lin = xs if spec.linear_kind == "x" else tower.add_vec(xq, xs)
-    powers = [tower.pow_vec(xs, instantiate_exponent(t, tower.q, tower.p)) for t in spec.terms]
-    h = functools.reduce(tower.add_vec, powers) if powers else np.zeros(tower.order, dtype=np.int64)
+    xs, core0, xq_plus_x = tower.kept("family", lambda: _family_vectors(tower))
+    lin = xs if spec.linear_kind == "x" else xq_plus_x
+
+    def h_table():
+        powers = [tower.pow_vec(xs, instantiate_exponent(t, tower.q, tower.p)) for t in spec.terms]
+        return (functools.reduce(tower.add_vec, powers) if powers else np.zeros(tower.order, dtype=np.int64),)
+
+    [h] = tower.kept(("h", spec.terms), h_table)
     for delta in deltas:
         yield delta, h[tower.add_vec(core0, delta)], lin
+
+
+def _family_vectors(tower: TowerCtx) -> tuple:
+    """(x, x^q -+ x, x^q + x) at every encoding x of the tower."""
+    xs = np.arange(tower.order)
+    xq = tower.pow_vec(xs, tower.q)
+    return xs, tower.add_vec(xq, tower.mul_vec(tower.scalar(-1), xs)), tower.add_vec(xq, xs)
 
 
 def family_images(spec: FamilySpec, tower: TowerCtx) -> np.ndarray:

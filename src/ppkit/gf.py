@@ -229,7 +229,7 @@ class ArithCtx:
         # them on every call
         self._tables = None
         self._exp_list = None
-        self._direction_walks = {}  # directions.direction_set's walk and inverses, by its end
+        self._kept = {}  # kept(key, build)'s arrays, by key
         # p^j for each digit of an encoding: add and sub take a fixed number
         # of digits, so an encoding out of range cannot keep them looping
         self._places = tuple(p**j for j in range(len(_enc_to_poly(order - 1, p))))
@@ -304,6 +304,18 @@ class ArithCtx:
             base = self.mul(base, base)
             e >>= 1
         return result
+
+    def kept(self, key, build):
+        """build(), a tuple of int64 arrays and ints, made once per key and kept
+        on the context, its arrays read-only: vectors that depend on the
+        context alone live and die with it, as its tables do."""
+        got = self._kept.get(key)
+        if got is None:
+            got = self._kept[key] = build()
+            for a in got:
+                if isinstance(a, np.ndarray):
+                    a.flags.writeable = False
+        return got
 
     # -- log/antilog vectors and the vector arithmetic ------------------------
 

@@ -7,13 +7,14 @@ from ppkit.decompose import (
     DecompositionConfig,
     _basis_matrix,
     _interp2d,
+    _vandermonde_digits,
     _vandermonde_inv,
     component_map,
     lemma31_extract,
     mat_inv,
     verify_equivalence,
 )
-from ppkit.errors import DependentBasis, KindContextMismatch, SingularMatrix
+from ppkit.errors import DependentBasis, DomainTooLarge, KindContextMismatch, SingularMatrix
 from ppkit.families import THEOREMS, ComponentTable, FamilySpec, closed_form_components, family_for_theorem
 from ppkit.gf import build_field
 from ppkit.tower import build_tower
@@ -55,6 +56,15 @@ def test_vandermonde_inverse_closed_form_is_mat_inv(p, m):
     F = build_field(p, m)
     W = [[F.pow(x, j) for j in range(F.q)] for x in range(F.q)]
     assert _vandermonde_inv(p, m).tolist() == mat_inv(F, W)
+
+
+def test_vandermonde_digits_refuse_an_inexact_float64_product(monkeypatch):
+    # at p >= 2^18 a sum of q m digit products passes 2^53; the check raises,
+    # not an assert that python -O strips, before any q x q matrix is built
+    monkeypatch.setenv("PPKIT_MAX_Q", str(2**19))
+    monkeypatch.setattr("ppkit.decompose._vandermonde_inv", lambda *a: pytest.fail("q x q matrix built"))
+    with pytest.raises(DomainTooLarge):
+        _vandermonde_digits(262147, 1)
 
 
 def test_vandermonde_inverse_times_vandermonde_is_identity():

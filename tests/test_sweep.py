@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 
 from ppkit import criteria, families, gf, sweep
@@ -223,10 +224,62 @@ def test_check_single_builds_the_tower_once(monkeypatch):
     check_single("3.6", 5, 2, delta=3, gamma=2)
     tower = build_tower(build_field(5, 2))
     tables = tower._tables
+    powers = []
+    pow_vec = TowerCtx.pow_vec
+    monkeypatch.setattr(TowerCtx, "pow_vec", lambda self, *a: powers.append(a) or pow_vec(self, *a))
     check_single("3.6", 5, 2, delta=7, gamma=1)
-    # at most one tower (none if an earlier test made it), and its tables once
+    # at most one tower (none if an earlier test made it), its tables once, and
+    # x^q - x, L(x) and h(y) once: the second check takes no power of the tower
     assert len(made) <= 1
     assert tables is not None and tower._tables is tables
+    assert powers == []
+
+
+def _same_as_on_fresh_towers(T, queries):
+    """check_on at each (tid, i, delta, gamma) on the one tower T, each record
+    equal to the one on a fresh tower, which keeps nothing from the others."""
+    for tid, i, delta, gamma in queries:
+        assert sweep.check_on(T, tid, delta, gamma, i) == sweep.check_on(TowerCtx(T.base, T.u), tid, delta, gamma, i)
+
+
+def test_kept_family_vectors_are_keyed_by_linear_part_and_terms():
+    # L = x (3.2) and L = x^q + x (3.14), and 3.13 at two i, interleaved on
+    # one tower: a store keyed too coarsely hands one query another's vectors
+    rng = random.Random(28)
+    T = build_tower(build_field(3, 2))
+    T = TowerCtx(T.base, T.u)
+    theorems = [("3.2", None), ("3.14", None), ("3.13", 1), ("3.2", None), ("3.13", 0), ("3.14", None)]
+    _same_as_on_fresh_towers(T, [(tid, i, rng.randrange(T.order), rng.randrange(1, T.q)) for tid, i in theorems * 3])
+    # the even tower: 3.19, with x^q + x as the core, between family images of
+    # its L = x^q + x variant, which no theorem registers
+    E = build_tower(build_field(2, 3))
+    E = TowerCtx(E.base, E.u)
+    for delta in rng.sample(range(E.order), 4):
+        _same_as_on_fresh_towers(E, [("3.19", None, delta, rng.randrange(1, E.order))])
+        spec = families.FamilySpec("even_delta_power", ((2, 1),), delta, 3, linear_kind="xq_plus_x")
+        want = [eval_family(spec, E, x).enc for x in range(E.order)]
+        assert families.family_images(spec, E).tolist() == want
+
+
+def test_kept_arrays_refuse_writes_and_hold_at_most_the_order(capsys):
+    # a sweep, a check, a decompose and a directions query; no order^2 block,
+    # as line_products' or permuting_translate_set's, is kept
+    sweep_theorem("3.14", 3, 1)
+    check_single("3.19", 2, 2, delta=5, gamma=3)
+    for argv in ["decompose --p 3 --m 2 --theorem 3.6 --delta 5 --gamma 2",
+                 "directions --p 5 --m 1 --theorem 3.14 --delta 7"]:
+        assert main(argv.split()) == 0
+    capsys.readouterr()
+    for p, m in [(3, 1), (2, 2), (3, 2), (5, 1)]:
+        tower = build_tower(build_field(p, m))
+        assert tower._kept
+        for ctx in (tower, tower.base):
+            for arrays in ctx._kept.values():
+                for a in arrays:
+                    if isinstance(a, np.ndarray):
+                        assert a.size <= ctx.order
+                        with pytest.raises(ValueError):
+                            a.fill(0)
 
 
 def test_wrong_parity_is_a_wrong_characteristic():
