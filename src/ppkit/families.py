@@ -160,12 +160,12 @@ def delta_power_rows(spec: FamilySpec, tower: TowerCtx, deltas):
     The one vector evaluation of a delta-power family; spec gives the terms
     and the linear part, its own delta and gamma are not read.  acc and lin
     are int64 vectors indexed by encoding, lin read-only.  x^q -+ x, both
-    linear parts and h(y) = sum_i y^{s_i} do not depend on delta or gamma,
-    so they are kept in the tower's store (ArithCtx.kept): the vectors once
-    per tower, h once per term tuple, each order * 8 bytes, with h
-    tabulated at every element of the tower.  Each row is then the gather
-    acc = h[x^q -+ x + delta]: exact, as h is tabulated at every encoding
-    the core can take.  A spec or context that eval_family refuses raises
+    linear parts and h(y) = sum_i y^{s_i}, each tabulated at every element
+    of the tower (order * 8 bytes), do not depend on delta or gamma, so
+    they are kept in the tower's store (ArithCtx.kept): the vectors once per
+    tower, h once per term tuple.  Each row is then the gather
+    acc = h[x^q -+ x + delta]: exact, as h is known at every encoding the
+    core can take.  A spec or context that eval_family refuses raises
     the same KindContextMismatch, when the first row is drawn.
     """
     _check_delta_power(spec, tower)
