@@ -258,8 +258,7 @@ def _tower_family(args, gamma: int):
     info = theorem_info(args.theorem)
     if info.needs_d:
         raise KindContextMismatch(f"{args.cmd} works in a tower F_{{q^2}}; theorem {args.theorem} lives in F_{{q^d}}")
-    tower = build_tower(build_field(args.p, args.m), u=args.u)
-    info.check(tower, args.i, args.d, args.u)
+    tower = theorem_context(args.theorem, args.p, args.m, args.u, args.i, args.d)
     delta = tower.elem(_resolve_delta(tower, args)).enc
     gamma = tower.elem(args.gamma if args.gamma is not None else gamma).enc
     return tower, family_for_theorem(args.theorem, delta, gamma, i=args.i)

@@ -158,7 +158,7 @@ class _Invariants:
     of a delta, (c, d) of a gamma, and b^2.
 
     A one_verdict_per_class block keeps one, so each is computed once per
-    class or gamma of the sweep; a class verdict outside a block makes its own.
+    class or gamma of the sweep; a predict outside a block binds its own.
     """
 
     __slots__ = ("trace", "norm", "z_core", "split", "square")
@@ -176,12 +176,21 @@ class _Invariants:
 _verdicts: ContextVar[tuple | None] = ContextVar("ppkit_verdicts", default=None)
 
 
+def _bind(tid: str, ctx, i: int | None, d: int | None) -> tuple:
+    """The theorem checked on ctx, i and d, and a verdict table bound to them,
+    as _verdicts holds it: empty, with fresh invariants (none for 4.1)."""
+    info = theorem_info(tid)
+    info.check(ctx, i, d)
+    inv = None if info.needs_d else _Invariants(info, ctx, i)
+    return (ctx, tid, i, d, info, {}, ctx.order, ctx.q, info.char == "odd", info.needs_d, inv)
+
+
 @contextlib.contextmanager
 def one_verdict_per_class(tid: str, ctx, i: int | None = None, d: int | None = None):
     """Within the block, predict(tid, ctx, delta, gamma, i, d) on this tid, this
     ctx object and this i and d checks only delta and gamma, and computes each
     (trace class of delta, gamma) once, returning that verdict for every delta
-    of the class.  Any other call takes the full path and reads no table.
+    of the class.  Any other call binds a table of its own, for that call.
 
     The theorem check runs once, here.  The class verdicts of the block share
     one _Invariants, so Tr, N and the z-core are computed once per class or
@@ -189,11 +198,7 @@ def one_verdict_per_class(tid: str, ctx, i: int | None = None, d: int | None = N
     the table and the invariants are dropped on the way out, so nothing
     outlives the sweep.
     """
-    info = theorem_info(tid)
-    info.check(ctx, i, d)
-    inv = None if info.needs_d else _Invariants(info, ctx, i)
-    bound = (ctx, tid, i, d, info, {}, ctx.order, ctx.q, info.char == "odd", info.needs_d, inv)
-    token = _verdicts.set(bound)
+    token = _verdicts.set(_bind(tid, ctx, i, d))
     try:
         yield
     finally:
@@ -219,44 +224,33 @@ def predict(
     gamma that is not an encoding in ctx, or a nonzero delta for the trace
     form 4.1, raises InvalidParam.  Inside one_verdict_per_class, a call on
     its theorem, field, i and d is checked and computed once per
-    (trace class of delta, gamma).
+    (trace class of delta, gamma); any other call binds a one-call table.
     """
     # Every criterion reads delta only through Tr(delta): x -> x + w moves delta
     # by w^q -+ w, which spans ker Tr.  With delta = c0 + c1*alpha the trace is
     # 2*c0 (odd) or c1 (even), so the least delta of that trace stands in for it.
     bound = _verdicts.get()
-    if (bound is not None and bound[0] is ctx
+    if not (bound is not None and bound[0] is ctx
             and bound[1] == tid and bound[2] == i and bound[3] == d):
-        _, _, _, _, info, table, n, q, odd, needs_d, _ = bound  # unpacked: a slice would build a tuple
-        if not (0 <= delta < n and 0 <= gamma < n) or (delta and needs_d):
-            info.check(ctx, i, d, delta=delta, gamma=gamma)  # raises InvalidParam
-        if needs_d:
-            return _predict_41(ctx, gamma, d)
-        rep = delta % q if odd else delta - delta % q
-        key = rep * n + gamma  # one int per (class, gamma)
-        v = table.get(key)
-        if v is None:
-            v = table[key] = _class_verdict(tid, info, ctx, rep, gamma, i)
-        return v
-    info = theorem_info(tid)
-    info.check(ctx, i, d, delta=delta, gamma=gamma)
-    if info.needs_d:
+        bound = _bind(tid, ctx, i, d)
+    _, _, _, _, info, table, n, q, odd, needs_d, inv = bound  # unpacked: a slice would build a tuple
+    if not (0 <= delta < n and 0 <= gamma < n) or (delta and needs_d):
+        info.check(ctx, i, d, delta=delta, gamma=gamma)  # raises InvalidParam
+    if needs_d:
         return _predict_41(ctx, gamma, d)
-    rep = delta % ctx.q if ctx.kind == "odd" else delta - delta % ctx.q
-    return _class_verdict(tid, info, ctx, rep, gamma, i)
+    rep = delta % q if odd else delta - delta % q
+    key = rep * n + gamma  # one int per (class, gamma)
+    v = table.get(key)
+    if v is None:
+        v = table[key] = _class_verdict(tid, info, ctx, rep, gamma, i, inv)
+    return v
 
 
 def _class_verdict(
-    tid: str, info, tower: TowerCtx, delta: int, gamma: int, i: int | None
+    tid: str, info, tower: TowerCtx, delta: int, gamma: int, i: int | None, inv: _Invariants
 ) -> Verdict:
     """The criterion at (delta, gamma) on the tower, computed without the table,
-    from the invariants of the one_verdict_per_class block bound to this tower,
-    tid and i (a tower theorem's block has d None), else from its own."""
-    bound = _verdicts.get()
-    if bound is not None and bound[0] is tower and bound[1] == tid and bound[2] == i:
-        inv = bound[10]
-    else:
-        inv = _Invariants(info, tower, i)
+    from inv, the invariants of the table bound to this tower, tid and i."""
     v = _statement_predict(tid, info, tower, delta, gamma, i, inv)
     # with gamma in F_q* and no i, the criterion reduces to "the z-component
     # polynomial permutes F_q"; the normalized cubic/quintic tests decide that
@@ -447,8 +441,9 @@ def _statement_predict(
         # (a^2/u)^{k/2} has no root of index k = p^i - 1 in F_q*
         k = B.p**i - 1
         w = powe(div(mul(a, a), tower.u), k // 2)
-        solvable = power_class(B, w, k)
-        return Verdict(not solvable, "3.13" if not solvable else "none")
+        if not power_class(B, w, k):
+            return Verdict(True, "3.13")
+        return _NONE
 
     if tid == "3.14":
         if q % 3 == 0:
@@ -465,9 +460,9 @@ def _statement_predict(
         return _NONE
 
     if tid == "3.16":
-        return Verdict(
-            q % 5 == 0 and td != 0, "3.16" if (q % 5 == 0 and td != 0) else "none"
-        )
+        if q % 5 == 0 and td != 0:
+            return Verdict(True, "3.16")
+        return _NONE
 
     if tid == "3.17":
         if q % 3 == 0 and td != s(2):
@@ -499,14 +494,16 @@ def _predict_319(tower: TowerCtx, inv: _Invariants, delta: int, gamma: int) -> V
             return Verdict(True, "3.19(i)")
         return _NONE
     if c == 0:
-        cond = add(add(mul(b2, u), b2), mul(d, u)) == 0
-        return Verdict(cond and m_odd, "3.19(ii)" if (cond and m_odd) else "none")
+        if m_odd and add(add(mul(b2, u), b2), mul(d, u)) == 0:
+            return Verdict(True, "3.19(ii)")
+        return _NONE
     inner = add(
         mul(b2, add(add(c, d), mul(d, u))),
         add(add(mul(c, c), mul(c, d)), mul(mul(d, d), u)),
     )
-    cond = add(mul(b2, mul(c, c)), mul(d, inner)) == 0
-    return Verdict(cond and m_odd, "3.19(iii)" if (cond and m_odd) else "none")
+    if m_odd and add(mul(b2, mul(c, c)), mul(d, inner)) == 0:
+        return Verdict(True, "3.19(iii)")
+    return _NONE
 
 
 def _predict_41(ctx: FieldCtx, gamma: int, d: int) -> Verdict:

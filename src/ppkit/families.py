@@ -182,16 +182,18 @@ def delta_power_rows(spec: FamilySpec, tower: TowerCtx, deltas):
 
 
 def _family_vectors(tower: TowerCtx) -> tuple:
-    """(x, x^q -+ x, x^q + x) at every encoding x of the tower."""
+    """(x, x^q -+ x, x^q + x) at every encoding x of the tower; one array for
+    the last two where p = 2, as -x = x there."""
     xs = np.arange(tower.order)
     xq = tower.pow_vec(xs, tower.q)
-    return xs, tower.add_vec(xq, tower.mul_vec(tower.scalar(-1), xs)), tower.add_vec(xq, xs)
+    plus = tower.add_vec(xq, xs)
+    return xs, plus if tower.p == 2 else tower.add_vec(xq, tower.mul_vec(tower.scalar(-1), xs)), plus
 
 
 def family_images(spec: FamilySpec, tower: TowerCtx) -> np.ndarray:
     """f(x) for every encoding x, at spec's delta and gamma, as one int64 vector."""
     [(_, acc, lin)] = delta_power_rows(spec, tower, (spec.delta,))
-    return next(tower.line_rows(acc, tower.line_products(lin, (spec.gamma,))))[0]
+    return tower.add_vec(acc, tower.mul_vec(spec.gamma, lin))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ stated random sample sizes) and prints a single PASS/FAIL line so the
 results are visible in the terminal run log.
 """
 
+import ast
 import inspect
 import itertools
+import pathlib
 import random
 import re
 import sys
@@ -108,6 +110,25 @@ def test_criterion_1_exhaustive_sweeps():
         "criterion 1 (exhaustive sweeps, prediction == oracle)",
         not bad and not empty and not folded and CASE_LABELS and not unmatched,
     )
+
+
+def test_case_labels_cover_every_stated_case():
+    # each stated case returns Verdict(True, label) under its condition, so the
+    # regex above reads every label, 3.13, 3.16, 3.19(ii) and (iii) among them
+    assert len(CASE_LABELS) == 53
+    assert {"3.13", "3.16", "3.19(ii)", "3.19(iii)"} <= CASE_LABELS
+
+
+def test_no_assert_in_the_sources():
+    # python -O strips an assert, so no invariant of the package may rest on one
+    src = pathlib.Path(ppkit.__file__).parent
+    found = [
+        (path.name, node.lineno)
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert len(list(src.glob("*.py"))) > 1 and found == []
 
 
 def test_criterion_2_reference_value_tables():

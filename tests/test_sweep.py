@@ -11,7 +11,13 @@ import pytest
 from ppkit import criteria, families, gf, sweep
 from ppkit.cli import main
 from ppkit.criteria import predict
-from ppkit.errors import InvalidParam, MissingParam, WrongCharacteristic
+from ppkit.errors import (
+    InvalidParam,
+    MissingParam,
+    PPKitError,
+    UnknownTheorem,
+    WrongCharacteristic,
+)
 from ppkit.families import (
     THEOREMS,
     TheoremInfo,
@@ -261,6 +267,19 @@ def test_kept_family_vectors_are_keyed_by_linear_part_and_terms():
         assert families.family_images(spec, E).tolist() == want
 
 
+@pytest.mark.parametrize("p, m, tid", [(2, 3, "3.19"), (3, 2, "3.6")], ids=["F8", "F9"])
+def test_an_even_tower_keeps_x_q_plus_x_once(p, m, tid):
+    # -x = x on an even tower, so x^q -+ x is x^q + x: one kept array there,
+    # two on an odd tower; 3.19's records stay those PINNED below
+    T = build_tower(build_field(p, m))
+    T = TowerCtx(T.base, T.u)  # an empty store
+    list(families.delta_power_rows(family_for_theorem(tid, 0, 0), T, (0,)))
+    _, core0, xq_plus_x = T._kept["family"]
+    assert (core0 is xq_plus_x) == (p == 2)
+    assert core0.tolist() == [T.sub(T.frob(x), x) for x in range(T.order)]
+    assert xq_plus_x.tolist() == [T.add(T.frob(x), x) for x in range(T.order)]
+
+
 def test_kept_arrays_refuse_writes_and_hold_at_most_the_order(capsys):
     # a sweep, a check, a decompose and a directions query; no order^2 block,
     # as line_products' or permuting_translate_set's, is kept
@@ -430,7 +449,8 @@ def test_verdicts_and_oracle_are_invariant_on_trace_classes():
         oracle = {}
         for r in recs:
             # the predicate body at the record's own delta, not at its class's
-            v = criteria._class_verdict(tid, info, tower, r.delta, r.gamma, r.i)
+            v = criteria._class_verdict(tid, info, tower, r.delta, r.gamma, r.i,
+                                        criteria._Invariants(info, tower, r.i))
             assert (v.predicted, v.matched_case, v.notes) == (
                 r.predicted, r.matched_case, r.note), (args, kw, r)
             key = (r.i, tower.trace(r.delta), r.gamma)
@@ -443,9 +463,9 @@ def computed(monkeypatch):
     calls = []
     body = criteria._class_verdict
 
-    def counted(tid, info, tower, delta, gamma, i):
+    def counted(tid, info, tower, delta, gamma, i, inv):
         calls.append((delta, gamma))
-        return body(tid, info, tower, delta, gamma, i)
+        return body(tid, info, tower, delta, gamma, i, inv)
 
     monkeypatch.setattr(criteria, "_class_verdict", counted)
     return calls
@@ -517,6 +537,34 @@ def test_the_bound_path_checks_i_and_d_like_the_full_path():
             predict("4.1", field, 1, 3, d=1)
         with pytest.raises(InvalidParam):
             predict("4.1", field, 0, field.order, d=1)
+
+
+def _raised(call) -> tuple:
+    """The type and message of what call() raises."""
+    with pytest.raises(PPKitError) as exc:
+        call()
+    return exc.type, str(exc.value)
+
+
+def test_predict_raises_alike_outside_and_inside_another_theorems_block():
+    T9 = theorem_context("3.6", 3, 2)
+    T8 = theorem_context("3.19", 2, 3)
+    F8 = theorem_context("4.1", 2, 3, d=1)
+    calls = [
+        ("9.9", T9, 0, 1),  # an unknown tid
+        ("3.6", T8, 0, 1), ("3.19", T9, 0, 1), ("4.1", T9, 0, 1, None, 1),  # a foreign field
+        ("3.6", T9, T9.order, 1), ("3.6", T9, 0, T9.order), ("3.6", T9, -1, 1),  # out of range
+        ("3.13", T9, 1, 1, -1),  # i < 0
+        ("4.1", F8, 0, 1, None, 2),  # an even d
+        ("4.1", F8, 1, 1, None, 1),  # a nonzero delta on 4.1
+        ("3.13", T9, 1, 1),  # 3.13 without i
+    ]
+    outside = [_raised(lambda: predict(*c)) for c in calls]
+    assert [kind for kind, _ in outside] == [
+        UnknownTheorem, *[WrongCharacteristic] * 3, *[InvalidParam] * 6, MissingParam]
+    for tid, ctx in [("3.8", T9), ("3.19", T8)]:
+        with criteria.one_verdict_per_class(tid, ctx):
+            assert [_raised(lambda: predict(*c)) for c in calls] == outside, tid
 
 
 def test_the_theorem_check_runs_once_per_sweep(monkeypatch):
