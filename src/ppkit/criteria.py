@@ -9,12 +9,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import (
-    GammaNotInSubfield,
-    MissingParam,
-    UnknownTheorem,
-    WrongCharacteristic,
-)
+from .errors import GammaNotInSubfield, WrongCharacteristic
 from .families import _core_monomials, theorem_info
 from .gf import FieldCtx, power_class, subfield_elements, subfield_order, trace_sum
 from .tower import TowerCtx
@@ -153,22 +148,19 @@ class _Memo(dict):
 
 class _Invariants:
     """What class verdicts read of delta and of gamma apart, each computed on
-    its first read: Tr of a delta or a gamma, N(gamma) (3.1-3.5), the z-core
-    of a delta (the F_q* theorems' exact test), and 3.19's coordinates (a, b)
-    of a delta, (c, d) of a gamma, and b^2.
+    its first read: Tr of a delta or a gamma, N(gamma) (3.1-3.5), and the
+    z-core of a delta (the F_q* theorems' exact test).
 
     A one_verdict_per_class block keeps one, so each is computed once per
     class or gamma of the sweep; a predict outside a block binds its own.
     """
 
-    __slots__ = ("trace", "norm", "z_core", "split", "square")
+    __slots__ = ("trace", "norm", "z_core")
 
     def __init__(self, info, tower: TowerCtx, i: int | None):
         self.trace = _Memo(tower.trace)
         self.norm = _Memo(tower.norm)
         self.z_core = _Memo(lambda delta: _z_core(info, tower, delta, i))
-        self.split = _Memo(tower.split)
-        self.square = _Memo(lambda x: tower.base.mul(x, x))
 
 
 # (ctx, tid, i, d, info, {rep * order + gamma: Verdict}, ctx.order, ctx.q, odd parity,
@@ -178,9 +170,11 @@ _verdicts: ContextVar[tuple | None] = ContextVar("ppkit_verdicts", default=None)
 
 def _bind(tid: str, ctx, i: int | None, d: int | None) -> tuple:
     """The theorem checked on ctx, i and d, and a verdict table bound to them,
-    as _verdicts holds it: empty, with fresh invariants (none for 4.1)."""
+    as _verdicts holds it: empty, with fresh invariants (none for 4.1).
+    3.13 without i raises MissingParam here, whatever delta and gamma."""
     info = theorem_info(tid)
     info.check(ctx, i, d)
+    info.exponents(i)
     inv = None if info.needs_d else _Invariants(info, ctx, i)
     return (ctx, tid, i, d, info, {}, ctx.order, ctx.q, info.char == "odd", info.needs_d, inv)
 
@@ -251,11 +245,16 @@ def _class_verdict(
 ) -> Verdict:
     """The criterion at (delta, gamma) on the tower, computed without the table,
     from inv, the invariants of the table bound to this tower, tid and i."""
-    v = _statement_predict(tid, info, tower, delta, gamma, i, inv)
+    if gamma == 0:
+        return _violated("gamma = 0")
+    fq_star = info.gamma_domain == "Fq_star"
+    if fq_star and gamma >= tower.q:
+        return _violated("gamma not in F_q*")
+    v = _STATEMENTS[tid](tower.base, tower, inv, inv.trace[delta], gamma, i)
     # with gamma in F_q* and no i, the criterion reduces to "the z-component
     # polynomial permutes F_q"; the normalized cubic/quintic tests decide that
     # exactly at every q, while the stated cases provide the label
-    if info.gamma_domain == "Fq_star" and not info.needs_i and v.notes is None:
+    if fq_star and not info.needs_i and v.notes is None:
         exact = _z_component_permutes(tower.base, *_z_terms(info, tower, inv.z_core[delta], gamma))
         if exact != v.predicted:
             if exact:
@@ -264,235 +263,224 @@ def _class_verdict(
     return v
 
 
-def _statement_predict(
-    tid: str, info, tower: TowerCtx, delta: int, gamma: int, i: int | None, inv: _Invariants
-) -> Verdict:
-    B = tower.base
-    q = tower.q
+# The stated cases of each tower theorem, as _STATEMENTS[tid](B, tower, inv, td,
+# gamma, i): B the base field, td = Tr(delta), gamma past the hypothesis checks
+# (so in F_q* where the theorem states F_q*).  3.1-3.5 also read Tr(gamma) and
+# N(gamma) from inv; 3.6 and 3.13 read a = Tr(delta)/2, delta's base coordinate.
 
-    if gamma == 0:
-        return _violated("gamma = 0")
 
-    gamma_in_base = gamma < q
-    if info.gamma_domain == "Fq_star" and not gamma_in_base:
-        return _violated("gamma not in F_q*")
-
-    if tid == "3.19":
-        return _predict_319(tower, inv, delta, gamma)
-
-    td = inv.trace[delta]
-    if info.gamma_domain == "Fq2_star":  # only 3.1-3.5 read Tr(gamma) and N(gamma)
-        tg, ng = inv.trace[gamma], inv.norm[gamma]
-    g = gamma if gamma_in_base else None  # plain gamma for F_q* statements
-
-    s = B.scalar
-    mul, add, sub, div, powe, neg = B.mul, B.add, B.sub, B.div, B.pow, B.neg
-    half = tower._half
-
-    if tid == "3.1":
-        if gamma_in_base:
-            if q % 3 == 0 and power_class(B, sub(mul(td, td), tg), 2):
-                return Verdict(True, "3.1(i)")
-            if q % 3 == 2 and mul(td, td) == tg:
-                return Verdict(True, "3.1(ii)")
-        else:
-            if td == 0 and tg == 0:
-                return Verdict(True, "3.1(iii)")
-            if td == 0 and tg != 0 and q % 3 == 0 and power_class(B, neg(div(ng, tg)), 2):
-                return Verdict(True, "3.1(iv)")
-            if (
-                td != 0
-                and tg != 0
-                and q % 3 == 2
-                and powe(mul(td, tg), 2)
-                == mul(ng, add(mul(td, td), mul(s(3), tg)))
-            ):
-                return Verdict(True, "3.1(v)")
+def _cases_3_1(B, tower, inv, td, gamma, i):
+    q, mul = B.q, B.mul
+    tg = inv.trace[gamma]
+    if gamma < q:
+        if q % 3 == 0 and power_class(B, B.sub(mul(td, td), tg), 2):
+            return Verdict(True, "3.1(i)")
+        if q % 3 == 2 and mul(td, td) == tg:
+            return Verdict(True, "3.1(ii)")
         return _NONE
+    ng = inv.norm[gamma]
+    if td == 0 and tg == 0:
+        return Verdict(True, "3.1(iii)")
+    if td == 0 and tg != 0 and q % 3 == 0 and power_class(B, B.neg(B.div(ng, tg)), 2):
+        return Verdict(True, "3.1(iv)")
+    if (
+        td != 0
+        and tg != 0
+        and q % 3 == 2
+        and B.pow(mul(td, tg), 2) == mul(ng, B.add(mul(td, td), mul(B.scalar(3), tg)))
+    ):
+        return Verdict(True, "3.1(v)")
+    return _NONE
 
-    if tid == "3.2":
-        if gamma_in_base and sub(td, div(tg, s(4))) != 0:
-            return Verdict(True, "3.2")
+
+def _cases_3_2(B, tower, inv, td, gamma, i):
+    if gamma < B.q and B.sub(td, B.div(inv.trace[gamma], B.scalar(4))) != 0:
+        return Verdict(True, "3.2")
+    return _NONE
+
+
+def _cases_3_3(B, tower, inv, td, gamma, i):
+    if gamma < B.q and B.add(td, B.div(inv.trace[gamma], B.scalar(4))) != 0:
+        return Verdict(True, "3.3")
+    return _NONE
+
+
+def _cases_3_4(B, tower, inv, td, gamma, i):
+    if gamma < B.q:
+        return Verdict(True, "3.4(a)")
+    if td == 0:
+        return Verdict(True, "3.4(b)")
+    return _NONE
+
+
+def _cases_3_5(B, tower, inv, td, gamma, i):
+    if td == 0:
+        return Verdict(True, "3.5(i)")
+    q, s = B.q, B.scalar
+    if gamma < q:
+        tg = inv.trace[gamma]
+        if q % 3 == 0 and power_class(B, B.sub(B.div(tg, s(2)), B.pow(td, 4)), 2):
+            return Verdict(True, "3.5(ii)")
+        if q % 3 == 2 and B.mul(s(2), B.pow(td, 4)) == tg:
+            return Verdict(True, "3.5(iii)")
+    return _NONE
+
+
+def _cases_3_6(B, tower, inv, td, g, i):
+    q, s, mul, add, half = B.q, B.scalar, B.mul, B.add, tower._half
+    a = mul(td, half)
+    if q == 9 and a in (s(1), s(-1)) and g == s(1):
+        return Verdict(True, "3.6(i)")
+    if q == 13 and (a, g) in {(0, 6), (1, 11), (12, 11), (2, 4), (11, 4), (5, 6), (8, 6)}:
+        return Verdict(True, "3.6(ii)")
+    if q % 5 != 1 and mul(a, a) == B.neg(half) and g == half:
+        return Verdict(True, "3.6(iii)")
+    if q % 5 in (2, 3) and add(add(mul(s(2), B.pow(a, 4)), mul(s(2), mul(a, a))), mul(s(5), g)) == s(2):
+        return Verdict(True, "3.6(iv)")
+    if q % 5 == 0:
+        if mul(a, a) == B.neg(half) and _fourth_or_not_square(B, B.div(B.sub(s(1), mul(s(2), g)), s(4))):
+            return Verdict(True, "3.6(v)(a)")
+        if power_class(B, B.div(add(mul(s(2), mul(a, a)), s(1)), s(2)), 2) and mul(s(2), g) == s(1):
+            return Verdict(True, "3.6(v)(b)")
+    return _NONE
+
+
+def _cases_3_7(B, tower, inv, td, g, i):
+    q, s, mul = B.q, B.scalar, B.mul
+    if q % 5 == 0 and td == 0 and _fourth_or_not_square(B, B.div(g, s(2))):
+        return Verdict(True, "3.7(i)")
+    if q == 9 and td == 0 and g in (s(1), s(-1)):
+        return Verdict(True, "3.7(ii)")
+    if q % 5 in (2, 3) and td != 0 and B.sub(B.sub(B.pow(td, 4), mul(s(80), td)), mul(s(40), g)) == 0:
+        return Verdict(True, "3.7(iii)")
+    if q % 5 == 0 and td != 0 and B.add(g, mul(s(2), td)) == 0:
+        return Verdict(True, "3.7(iv)")
+    return _NONE
+
+
+def _cases_3_8(B, tower, inv, td, g, i):
+    if td == 0:
+        return Verdict(True, "3.8(i)")
+    q, s = B.q, B.scalar
+    if q % 5 in (2, 3) and B.mul(s(40), g) == B.mul(s(19), B.pow(td, 5)):
+        return Verdict(True, "3.8(ii)")
+    if q % 5 == 0 and B.mul(s(2), g) == B.pow(td, 5):
+        return Verdict(True, "3.8(iii)")
+    return _NONE
+
+
+def _cases_3_9(B, tower, inv, td, g, i):
+    q, s = B.q, B.scalar
+    if td == 0:
+        if B.add(g, s(2)) != 0:
+            return Verdict(True, "3.9(i)")
         return _NONE
+    if q % 5 in (2, 3) and B.mul(s(40), g) == B.sub(B.pow(td, 5), s(80)):
+        # with 2a = Tr(delta) this is 5*gamma = 4*a^5 - 10, the form the
+        # oracle confirms at q = 7 and q = 13
+        return Verdict(True, "3.9(ii)")
+    if q % 5 == 0 and g == s(3):
+        return Verdict(True, "3.9(iii)")
+    return _NONE
 
-    if tid == "3.3":
-        if gamma_in_base and add(td, div(tg, s(4))) != 0:
-            return Verdict(True, "3.3")
+
+def _cases_3_10(B, tower, inv, td, g, i):
+    if td == 0:
+        return Verdict(True, "3.10(i)")
+    q = B.q
+    if q % 3 == 0 and g != B.pow(td, 4):
+        return Verdict(True, "3.10(ii)")
+    if q % 3 == 2 and g == B.neg(B.div(B.pow(td, 4), B.scalar(2))):
+        return Verdict(True, "3.10(iii)")
+    return _NONE
+
+
+def _cases_3_11(B, tower, inv, td, g, i):
+    if td == 0:
+        return Verdict(True, "3.11(i)")
+    q, s = B.q, B.scalar
+    if q % 5 in (2, 3) and g == B.sub(B.div(B.pow(td, 5), s(40)), B.mul(s(2), td)):
+        return Verdict(True, "3.11(ii)")
+    if q % 5 == 0 and g == B.neg(B.mul(s(2), td)):
+        return Verdict(True, "3.11(iii)")
+    return _NONE
+
+
+def _cases_3_12(B, tower, inv, td, g, i):
+    if td == 0:
+        return Verdict(True, "3.12(i)")
+    q, s, td5 = B.q, B.scalar, B.pow(td, 5)
+    if q % 5 != 1 and g == B.sub(B.div(td5, s(4)), B.mul(s(2), td)):
+        return Verdict(True, "3.12(ii)")
+    if q % 5 == 0 and _fourth_or_not_square(B, B.div(B.add(B.add(td5, B.mul(s(2), td)), g), td)):
+        return Verdict(True, "3.12(iii)")
+    if q == 9 and g in (td5, B.sub(td5, td)):
+        return Verdict(True, "3.12(iv)")
+    return _NONE
+
+
+def _cases_3_13(B, tower, inv, td, g, i):
+    if not 1 <= i < B.m:
+        return _violated("i out of [1, m)")
+    if td == 0:
         return _NONE
-
-    if tid == "3.4":
-        if gamma_in_base:
-            return Verdict(True, "3.4(a)")
-        if td == 0:
-            return Verdict(True, "3.4(b)")
-        return _NONE
-
-    if tid == "3.5":
-        if td == 0:
-            return Verdict(True, "3.5(i)")
-        if gamma_in_base:
-            if q % 3 == 0 and power_class(B, sub(div(tg, s(2)), powe(td, 4)), 2):
-                return Verdict(True, "3.5(ii)")
-            if q % 3 == 2 and mul(s(2), powe(td, 4)) == tg:
-                return Verdict(True, "3.5(iii)")
-        return _NONE
-
-    # remaining odd theorems all have gamma in F_q*
-    a = mul(td, half)  # 2a = Tr(delta)
-
-    if tid == "3.6":
-        if q == 9 and a in (s(1), s(-1)) and g == s(1):
-            return Verdict(True, "3.6(i)")
-        if q == 13:
-            pairs = {(0, 6), (1, 11), (12, 11), (2, 4), (11, 4), (5, 6), (8, 6)}
-            if (a, g) in pairs:
-                return Verdict(True, "3.6(ii)")
-        if q % 5 != 1 and mul(a, a) == neg(half) and g == half:
-            return Verdict(True, "3.6(iii)")
-        if q % 5 in (2, 3) and add(
-            add(mul(s(2), powe(a, 4)), mul(s(2), mul(a, a))), mul(s(5), g)
-        ) == s(2):
-            return Verdict(True, "3.6(iv)")
-        if q % 5 == 0:
-            if mul(a, a) == neg(half) and _fourth_or_not_square(
-                B, div(sub(s(1), mul(s(2), g)), s(4))
-            ):
-                return Verdict(True, "3.6(v)(a)")
-            if power_class(B, div(add(mul(s(2), mul(a, a)), s(1)), s(2)), 2) and mul(s(2), g) == s(1):
-                return Verdict(True, "3.6(v)(b)")
-        return _NONE
-
-    if tid == "3.7":
-        if q % 5 == 0 and td == 0 and _fourth_or_not_square(B, div(g, s(2))):
-            return Verdict(True, "3.7(i)")
-        if q == 9 and td == 0 and g in (s(1), s(-1)):
-            return Verdict(True, "3.7(ii)")
-        if (
-            q % 5 in (2, 3)
-            and td != 0
-            and sub(sub(powe(td, 4), mul(s(80), td)), mul(s(40), g)) == 0
-        ):
-            return Verdict(True, "3.7(iii)")
-        if q % 5 == 0 and td != 0 and add(g, mul(s(2), td)) == 0:
-            return Verdict(True, "3.7(iv)")
-        return _NONE
-
-    if tid == "3.8":
-        if td == 0:
-            return Verdict(True, "3.8(i)")
-        if q % 5 in (2, 3) and mul(s(40), g) == mul(s(19), powe(td, 5)):
-            return Verdict(True, "3.8(ii)")
-        if q % 5 == 0 and mul(s(2), g) == powe(td, 5):
-            return Verdict(True, "3.8(iii)")
-        return _NONE
-
-    if tid == "3.9":
-        if td == 0:
-            if add(g, s(2)) != 0:
-                return Verdict(True, "3.9(i)")
-            return _NONE
-        if q % 5 in (2, 3) and mul(s(40), g) == sub(powe(td, 5), s(80)):
-            # with 2a = Tr(delta) this is 5*gamma = 4*a^5 - 10, the form the
-            # oracle confirms at q = 7 and q = 13
-            return Verdict(True, "3.9(ii)")
-        if q % 5 == 0 and g == s(3):
-            return Verdict(True, "3.9(iii)")
-        return _NONE
-
-    if tid == "3.10":
-        if td == 0:
-            return Verdict(True, "3.10(i)")
-        if q % 3 == 0 and g != powe(td, 4):
-            return Verdict(True, "3.10(ii)")
-        if q % 3 == 2 and g == neg(div(powe(td, 4), s(2))):
-            return Verdict(True, "3.10(iii)")
-        return _NONE
-
-    if tid == "3.11":
-        if td == 0:
-            return Verdict(True, "3.11(i)")
-        if q % 5 in (2, 3) and g == sub(div(powe(td, 5), s(40)), mul(s(2), td)):
-            return Verdict(True, "3.11(ii)")
-        if q % 5 == 0 and g == neg(mul(s(2), td)):
-            return Verdict(True, "3.11(iii)")
-        return _NONE
-
-    if tid == "3.12":
-        if td == 0:
-            return Verdict(True, "3.12(i)")
-        if q % 5 != 1 and g == sub(div(powe(td, 5), s(4)), mul(s(2), td)):
-            return Verdict(True, "3.12(ii)")
-        if q % 5 == 0 and _fourth_or_not_square(
-            B, div(add(add(powe(td, 5), mul(s(2), td)), g), td)
-        ):
-            return Verdict(True, "3.12(iii)")
-        if q == 9 and g in (powe(td, 5), sub(powe(td, 5), td)):
-            return Verdict(True, "3.12(iv)")
-        return _NONE
-
-    if tid == "3.13":
-        if i is None:
-            raise MissingParam("theorem 3.13 requires i")
-        if not 1 <= i < B.m:
-            return _violated("i out of [1, m)")
-        if td == 0:
-            return _NONE
-        # the z-part a*(u^{k/2} z^{k+1 ... } ...) is additive; it permutes iff
-        # (a^2/u)^{k/2} has no root of index k = p^i - 1 in F_q*
-        k = B.p**i - 1
-        w = powe(div(mul(a, a), tower.u), k // 2)
-        if not power_class(B, w, k):
-            return Verdict(True, "3.13")
-        return _NONE
-
-    if tid == "3.14":
-        if q % 3 == 0:
-            return Verdict(True, "3.14(a)")
-        if q % 3 == 2 and td == 0:
-            return Verdict(True, "3.14(b)")
-        return _NONE
-
-    if tid == "3.15":
-        if q % 5 == 0:
-            return Verdict(True, "3.15(a)")
-        if q % 5 in (2, 3, 4) and td == 0:
-            return Verdict(True, "3.15(b)")
-        return _NONE
-
-    if tid == "3.16":
-        if q % 5 == 0 and td != 0:
-            return Verdict(True, "3.16")
-        return _NONE
-
-    if tid == "3.17":
-        if q % 3 == 0 and td != s(2):
-            return Verdict(True, "3.17(a)")
-        if q % 3 == 2 and td == 0:
-            return Verdict(True, "3.17(b)")
-        return _NONE
-
-    if tid == "3.18":
-        if q % 5 == 0 and td != s(-1):
-            return Verdict(True, "3.18(a)")
-        if q % 5 in (2, 3, 4) and td == 0:
-            return Verdict(True, "3.18(b)")
-        return _NONE
-
-    raise UnknownTheorem(f"no predicate for theorem {tid!r}")
+    # the z-part a*(u^{k/2} z^{k+1 ... } ...) is additive; it permutes iff
+    # (a^2/u)^{k/2} has no root of index k = p^i - 1 in F_q*
+    k = B.p**i - 1
+    a = B.mul(td, tower._half)
+    if not power_class(B, B.pow(B.div(B.mul(a, a), tower.u), k // 2), k):
+        return Verdict(True, "3.13")
+    return _NONE
 
 
-def _predict_319(tower: TowerCtx, inv: _Invariants, delta: int, gamma: int) -> Verdict:
-    B = tower.base
-    m_odd = B.m % 2 == 1
-    u = tower.u
-    b = inv.split[delta][1]
-    b2 = inv.square[b]
-    c, d = inv.split[gamma]
-    mul, add = B.mul, B.add
+def _cases_3_14(B, tower, inv, td, g, i):
+    if B.q % 3 == 0:
+        return Verdict(True, "3.14(a)")
+    if B.q % 3 == 2 and td == 0:
+        return Verdict(True, "3.14(b)")
+    return _NONE
+
+
+def _cases_3_15(B, tower, inv, td, g, i):
+    if B.q % 5 == 0:
+        return Verdict(True, "3.15(a)")
+    if B.q % 5 in (2, 3, 4) and td == 0:
+        return Verdict(True, "3.15(b)")
+    return _NONE
+
+
+def _cases_3_16(B, tower, inv, td, g, i):
+    if B.q % 5 == 0 and td != 0:
+        return Verdict(True, "3.16")
+    return _NONE
+
+
+def _cases_3_17(B, tower, inv, td, g, i):
+    if B.q % 3 == 0 and td != B.scalar(2):
+        return Verdict(True, "3.17(a)")
+    if B.q % 3 == 2 and td == 0:
+        return Verdict(True, "3.17(b)")
+    return _NONE
+
+
+def _cases_3_18(B, tower, inv, td, g, i):
+    if B.q % 5 == 0 and td != B.scalar(-1):
+        return Verdict(True, "3.18(a)")
+    if B.q % 5 in (2, 3, 4) and td == 0:
+        return Verdict(True, "3.18(b)")
+    return _NONE
+
+
+def _cases_3_19(B, tower, inv, b, gamma, i):
+    # on the even tower Tr(a + b*alpha) = b, so td is delta's coordinate b
+    mul, add, u = B.mul, B.add, tower.u
+    b2 = mul(b, b)
+    c, d = tower.split(gamma)
     if d == 0:
         if b == 0 or b2 == c:
             return Verdict(True, "3.19(i)")
         return _NONE
+    m_odd = B.m % 2 == 1
     if c == 0:
         if m_odd and add(add(mul(b2, u), b2), mul(d, u)) == 0:
             return Verdict(True, "3.19(ii)")
@@ -504,6 +492,15 @@ def _predict_319(tower: TowerCtx, inv: _Invariants, delta: int, gamma: int) -> V
     if m_odd and add(mul(b2, mul(c, c)), mul(d, inner)) == 0:
         return Verdict(True, "3.19(iii)")
     return _NONE
+
+
+_STATEMENTS = {
+    "3.1": _cases_3_1, "3.2": _cases_3_2, "3.3": _cases_3_3, "3.4": _cases_3_4, "3.5": _cases_3_5,
+    "3.6": _cases_3_6, "3.7": _cases_3_7, "3.8": _cases_3_8, "3.9": _cases_3_9, "3.10": _cases_3_10,
+    "3.11": _cases_3_11, "3.12": _cases_3_12, "3.13": _cases_3_13, "3.14": _cases_3_14,
+    "3.15": _cases_3_15, "3.16": _cases_3_16, "3.17": _cases_3_17, "3.18": _cases_3_18,
+    "3.19": _cases_3_19,
+}
 
 
 def _predict_41(ctx: FieldCtx, gamma: int, d: int) -> Verdict:

@@ -252,9 +252,9 @@ class TheoremInfo:
             raise InvalidParam(f"theorem {self.tid} takes no d; got d={d}")
         if self.needs_d and delta:
             raise InvalidParam(f"theorem {self.tid} has no delta; got delta={delta}")
-        for enc in (delta, gamma):
-            if ctx is not None and enc is not None and not 0 <= enc < ctx.order:
-                raise InvalidParam(f"encoding {enc} out of [0, {ctx.order})")
+        for name, enc in (("delta", delta), ("gamma", gamma)):
+            if ctx is not None and enc is not None:
+                _check_encoding(ctx, name, enc)
 
 
 THEOREMS: dict[str, TheoremInfo] = {

@@ -119,6 +119,19 @@ def test_case_labels_cover_every_stated_case():
     assert {"3.13", "3.16", "3.19(ii)", "3.19(iii)"} <= CASE_LABELS
 
 
+def test_each_tower_theorem_states_only_its_own_cases():
+    # one statement function per tower theorem; its labels are its own, and
+    # with 4.1's and the fold's they are every label criterion 1 checks
+    assert set(criteria._STATEMENTS) == {t for t, info in THEOREMS.items() if not info.needs_d}
+    labels = []
+    for tid, statement in criteria._STATEMENTS.items():
+        own = re.findall(r'Verdict\(True, "([^"]+)"', inspect.getsource(statement))
+        assert own and all(lab == tid or lab.startswith(tid + "(") for lab in own), (tid, own)
+        labels += own
+    assert len(labels) == len(set(labels)) == 51
+    assert set(labels) | {"4.1", "folded"} == CASE_LABELS
+
+
 def test_no_assert_in_the_sources():
     # python -O strips an assert, so no invariant of the package may rest on one
     src = pathlib.Path(ppkit.__file__).parent

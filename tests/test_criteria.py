@@ -77,6 +77,14 @@ def test_predict_gamma_hypotheses():
     assert not v.predicted and "hypothesis-violated" in v.notes
 
 
+def test_313_without_i_raises_at_every_gamma():
+    # the missing i is found with the theorem check, before the gamma hypothesis
+    T = build_tower(build_field(3, 2))
+    for gamma in (0, 1, 10):
+        with pytest.raises(MissingParam, match="requires parameter i"):
+            predict("3.13", T, 0, gamma)
+
+
 def test_predict_known_values_36():
     # q = 9: the (Tr delta, gamma) = (2, 1) and (1, 1) instances are case (i)
     T = build_tower(build_field(3, 2))

@@ -95,6 +95,20 @@ def test_out_of_range_encodings_raise_invalid_param():
                 eval_family(spec, ctx, x)
 
 
+def test_out_of_range_errors_name_the_parameter():
+    # TheoremInfo.check and the family evaluation share one range rule
+    T = build_tower(build_field(3, 2))
+    info = theorem_info("3.6")
+    with pytest.raises(InvalidParam, match=r"^delta=81 out of \[0, 81\)$"):
+        info.check(T, delta=81, gamma=1)
+    with pytest.raises(InvalidParam, match=r"^gamma=-1 out of \[0, 81\)$"):
+        info.check(T, delta=0, gamma=-1)
+    with pytest.raises(InvalidParam, match="delta="):
+        predict("3.6", T, 81, 1)
+    with pytest.raises(InvalidParam, match="gamma="):
+        predict("3.19", build_tower(build_field(2, 2)), 0, 16)
+
+
 @pytest.mark.parametrize(
     "p,m", [(3, 1), (3, 2), (2, 1), (2, 3), (5, 1), (7, 1)],
     ids=["F3^2", "F9^2", "F2^2", "F8^2", "F5^2", "F7^2"],
