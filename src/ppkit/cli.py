@@ -259,8 +259,9 @@ def _tower_family(args, gamma: int):
     if info.needs_d:
         raise KindContextMismatch(f"{args.cmd} works in a tower F_{{q^2}}; theorem {args.theorem} lives in F_{{q^d}}")
     tower = theorem_context(args.theorem, args.p, args.m, args.u, args.i, args.d)
-    delta = tower.elem(_resolve_delta(tower, args)).enc
-    gamma = tower.elem(args.gamma if args.gamma is not None else gamma).enc
+    delta = _resolve_delta(tower, args)
+    gamma = args.gamma if args.gamma is not None else gamma
+    info.check(tower, delta=delta, gamma=gamma)  # InvalidParam names the parameter out of range
     return tower, family_for_theorem(args.theorem, delta, gamma, i=args.i)
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import GammaNotInSubfield, WrongCharacteristic
-from .families import _core_monomials, theorem_info
+from .families import _core_part, theorem_info
 from .gf import FieldCtx, power_class, subfield_elements, subfield_order, trace_sum
 from .tower import TowerCtx
 
@@ -98,16 +98,11 @@ def _z_core(info, tower: TowerCtx, delta: int, i: int | None) -> tuple[int, int,
     """(e5, e3, e1): the coefficients of z^5, z^3 and z in g2's core part,
     sum_s core^s at v = a, the base coordinate of delta (F_q* theorems are odd).
 
-    They are read off the cached _core_monomials; closed_form_components adds
-    the same monomials, and the linear part, which _z_terms adds here.
+    They are read off _core_part, the walk closed_form_components makes too;
+    it adds the linear part there, which _z_terms adds here.
     """
-    B = tower.base
-    v = tower.split(delta)[0]
-    e = {5: 0, 3: 0, 1: 0}
-    for vdeg, which, (_, zdeg), const in _core_monomials(info.exponents(i), B.p, B.m, tower.u):
-        if which == 1 and zdeg in e:
-            e[zdeg] = B.add(e[zdeg], B.mul(const, B.pow(v, vdeg)))
-    return e[5], e[3], e[1]
+    g2 = _core_part(tower, info.exponents(i), tower.split(delta)[0])[1]
+    return g2.get((0, 5), 0), g2.get((0, 3), 0), g2.get((0, 1), 0)
 
 
 def _z_terms(info, tower: TowerCtx, core: tuple, gamma: int) -> tuple[int, int, int]:
@@ -163,20 +158,22 @@ class _Invariants:
         self.z_core = _Memo(lambda delta: _z_core(info, tower, delta, i))
 
 
-# (ctx, tid, i, d, info, {rep * order + gamma: Verdict}, ctx.order, ctx.q, odd parity,
-# info.needs_d, _Invariants or None) while a sweep runs; see one_verdict_per_class
+# (ctx, tid, i, d, info, _Memo of the Verdict at rep * order + gamma, ctx.order, ctx.q,
+# odd parity, info.needs_d) while a sweep runs; see one_verdict_per_class
 _verdicts: ContextVar[tuple | None] = ContextVar("ppkit_verdicts", default=None)
 
 
 def _bind(tid: str, ctx, i: int | None, d: int | None) -> tuple:
     """The theorem checked on ctx, i and d, and a verdict table bound to them,
-    as _verdicts holds it: empty, with fresh invariants (none for 4.1).
+    as _verdicts holds it: an empty _Memo of the class verdicts, on fresh
+    invariants (none for 4.1, which reads no table).
     3.13 without i raises MissingParam here, whatever delta and gamma."""
     info = theorem_info(tid)
     info.check(ctx, i, d)
     info.exponents(i)
-    inv = None if info.needs_d else _Invariants(info, ctx, i)
-    return (ctx, tid, i, d, info, {}, ctx.order, ctx.q, info.char == "odd", info.needs_d, inv)
+    n, inv = ctx.order, None if info.needs_d else _Invariants(info, ctx, i)
+    table = _Memo(lambda key: _class_verdict(tid, info, ctx, *divmod(key, n), i, inv))
+    return (ctx, tid, i, d, info, table, n, ctx.q, info.char == "odd", info.needs_d)
 
 
 @contextlib.contextmanager
@@ -227,17 +224,13 @@ def predict(
     if not (bound is not None and bound[0] is ctx
             and bound[1] == tid and bound[2] == i and bound[3] == d):
         bound = _bind(tid, ctx, i, d)
-    _, _, _, _, info, table, n, q, odd, needs_d, inv = bound  # unpacked: a slice would build a tuple
+    _, _, _, _, info, table, n, q, odd, needs_d = bound  # unpacked: a slice would build a tuple
     if not (0 <= delta < n and 0 <= gamma < n) or (delta and needs_d):
         info.check(ctx, i, d, delta=delta, gamma=gamma)  # raises InvalidParam
     if needs_d:
         return _predict_41(ctx, gamma, d)
     rep = delta % q if odd else delta - delta % q
-    key = rep * n + gamma  # one int per (class, gamma)
-    v = table.get(key)
-    if v is None:
-        v = table[key] = _class_verdict(tid, info, ctx, rep, gamma, i, inv)
-    return v
+    return table[rep * n + gamma]  # one int per (class, gamma)
 
 
 def _class_verdict(

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import gf
-from .errors import DomainTooLarge, KindContextMismatch
+from .errors import DomainTooLarge, ImageOutOfDomain, KindContextMismatch
 from .oracle import images_permute
 from .tower import TowerCtx
 
@@ -29,6 +29,16 @@ def direction_order(ctx) -> int:
     if ctx.order > MAX_DIRECTION_FIELD:
         raise DomainTooLarge(f"|F| = {ctx.order} exceeds {MAX_DIRECTION_FIELD}")
     return ctx.order
+
+
+def _images(f: Callable[[int], int], size: int) -> np.ndarray:
+    """f at each encoding of [0, size) as an int64 vector; ImageOutOfDomain,
+    as the oracle raises it, where an image is not an encoding in [0, size)."""
+    images = [f(x) for x in range(size)]
+    if not (0 <= min(images) and max(images) < size):  # on the list, cheaper than on the array at small |F|
+        x = next(x for x, y in enumerate(images) if not 0 <= y < size)
+        raise ImageOutOfDomain(f"f({x}) = {images[x]} outside [0, {size})")
+    return np.array(images, dtype=np.int64)
 
 
 def direction_set(
@@ -68,7 +78,7 @@ def direction_set(
         if not isinstance(ctx, TowerCtx):
             raise KindContextMismatch("restrict_to_base needs a tower context")
         stop = ctx.q  # the base field embeds as the encodings below q
-    images = np.array([f(x) for x in range(size)], dtype=np.int64)
+    images = _images(f, size)
     present = np.zeros(size, dtype=bool)
     present[images] = True
     values = np.flatnonzero(present)
@@ -118,7 +128,7 @@ def permuting_translate_set(f: Callable[[int], int], ctx) -> set[int]:
     the sweep's oracle on the vector arithmetic (direction_set stays on the
     scalar ops), one call per block of slopes."""
     size = direction_order(ctx)
-    acc = np.array([f(x) for x in range(size)], dtype=np.int64)
+    acc = _images(f, size)
     blocks = ctx.line_rows(acc, ctx.line_products(np.arange(size), range(size)))
     verdicts = chain.from_iterable(images_permute(block, size) for block in blocks)
     return set(compress(range(size), verdicts))

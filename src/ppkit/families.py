@@ -208,7 +208,7 @@ class TheoremInfo:
     linear_kind: str
     gamma_domain: str  # "Fq_star" | "Fq2_star" | "Fqd"
     has_closed_form: bool = True
-    # decided by kind and terms; plain attributes, as check reads them on every predict call
+    # decided by kind and terms; plain attributes, read by check and by each class verdict
     char: str = field(init=False)  # "odd" | "even": the parity of q
     needs_i: bool = field(init=False)  # an exponent q + p^i
     needs_d: bool = field(init=False)  # the trace form over F_{q^d}
@@ -392,15 +392,7 @@ def closed_form_components(
     a, b = tower.split(delta.enc)
     c, d = tower.split(gamma.enc)
     odd = tower.kind == "odd"
-    v = a if odd else b
-    g = ({}, {})  # g1, g2
-    vk, k = 1, 0  # v^k
-    for vdeg, which, key, const in _core_monomials(info.exponents(i), B.p, B.m, u):
-        if vdeg != k:
-            vk = B.mul(vk, v if vdeg == k + 1 else B.pow(v, vdeg - k))
-            k = vdeg
-        slot, t = g[which], B.mul(const, vk)
-        slot[key] = B.add(slot[key], t) if key in slot else t
+    g = _core_part(tower, info.exponents(i), a if odd else b)
 
     # gamma * L(x): x^q + x is 2y, and x = y + (const + r*z)*alpha gives
     # gamma*y + r*z*gamma*alpha, where gamma*alpha = d*u + (c, or c + d if even)*alpha
@@ -416,6 +408,21 @@ def closed_form_components(
         if tz:
             slot[(0, 1)] = B.add(slot[(0, 1)], tz) if (0, 1) in slot else tz
     return ComponentTable(B, *g)
+
+
+def _core_part(tower: TowerCtx, terms: tuple, v: int) -> tuple[dict, dict]:
+    """(g1, g2) of sum_s core^s at v, keyed by (0, z-degree): one walk of the
+    cached _core_monomials, with v^k raised as the v-degree grows."""
+    B = tower.base
+    g = ({}, {})  # g1, g2
+    vk, k = 1, 0  # v^k
+    for vdeg, which, key, const in _core_monomials(terms, B.p, B.m, tower.u):
+        if vdeg != k:
+            vk = B.mul(vk, v if vdeg == k + 1 else B.pow(v, vdeg - k))
+            k = vdeg
+        slot, t = g[which], B.mul(const, vk)
+        slot[key] = B.add(slot[key], t) if key in slot else t
+    return g
 
 
 def _binomials(e: int, p: int) -> list[tuple[int, int]]:

@@ -75,7 +75,7 @@ def _shared_products(ctx, rows, gammas):
         yield delta, acc, blocks
 
 
-def _records(ctx, tid: str, p: int, m: int, i, d, deltas, gammas) -> list[SweepRecord]:
+def _records(ctx, tid: str, i, d, deltas, gammas) -> list[SweepRecord]:
     """The records of one i at each delta of deltas and gamma of gammas.
 
     Each record is made in one call, SweepRecord._make of the flat tuple of
@@ -84,8 +84,7 @@ def _records(ctx, tid: str, p: int, m: int, i, d, deltas, gammas) -> list[SweepR
     bound to this theorem, field, i and d, checks them once per sweep and
     computes one verdict per (trace class of delta, gamma).
     """
-    head, rows = _head_rows(ctx, tid, p, m, i, d, deltas, gammas)
-    ctx.tables()
+    head, rows = _head_rows(ctx, tid, i, d, deltas, gammas)
     records, make, order = [], SweepRecord._make, ctx.order
     predict, permutes = criteria.predict, images_permute
     with criteria.one_verdict_per_class(tid, ctx, i, d):
@@ -100,13 +99,14 @@ def _records(ctx, tid: str, p: int, m: int, i, d, deltas, gammas) -> list[SweepR
     return records
 
 
-def _head_rows(ctx, tid: str, p: int, m: int, i: Optional[int], d: Optional[int], deltas, gammas):
-    """The records' head (tid, p, m, u, i, d) and the rows of one i: (delta, acc,
-    blocks), where f = acc + gamma * lin and blocks are line_products(lin, gammas)."""
+def _head_rows(ctx, tid: str, i: Optional[int], d: Optional[int], deltas, gammas):
+    """The records' head (tid, p, m, u, i, d), read off ctx (m of F_{q^d} for the
+    trace form, of F_q for a tower), and the rows of one i: (delta, acc, blocks),
+    where f = acc + gamma * lin and blocks are line_products(lin, gammas)."""
     if theorem_info(tid).needs_d:  # the trace form: one row, at delta 0
-        return (tid, p, m * d, 0, None, d), _trace_rows(ctx, d, gammas)
+        return (tid, ctx.p, ctx.m, 0, None, d), _trace_rows(ctx, d, gammas)
     rows = delta_power_rows(family_for_theorem(tid, 0, 0, i=i), ctx, deltas)
-    return (tid, p, m, ctx.u, i, None), _shared_products(ctx, rows, gammas)
+    return (tid, ctx.p, ctx.base.m, ctx.u, i, None), _shared_products(ctx, rows, gammas)
 
 
 def sweep_theorem(
@@ -132,7 +132,7 @@ def sweep_theorem(
     return [
         r
         for iv in i_values
-        for r in _records(ctx, tid, p, m, iv, d, range(ctx.order), gammas)
+        for r in _records(ctx, tid, iv, d, range(ctx.order), gammas)
     ]
 
 
@@ -227,6 +227,5 @@ def check_on(ctx, tid: str, delta: int, gamma: int, i: Optional[int] = None,
     and d: delta and gamma are checked here, raising what theorem_context
     would have raised for them."""
     theorem_info(tid).check(ctx, i, d, delta=delta, gamma=gamma)
-    m = ctx.m // d if d else ctx.base.m  # F_{q^d} for the trace form, else a tower
-    [record] = _records(ctx, tid, ctx.p, m, i, d, (delta,), (gamma,))
+    [record] = _records(ctx, tid, i, d, (delta,), (gamma,))
     return record

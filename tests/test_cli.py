@@ -331,6 +331,15 @@ def test_bad_point_parameters_exit_65(capsys, argv):
     assert err.startswith("ppkit: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("cmd", ["check", "decompose", "directions"])
+@pytest.mark.parametrize("name", ["delta", "gamma"])
+def test_range_errors_name_the_parameter(capsys, cmd, name):
+    point = {"delta": "1", "gamma": "1", name: "49"}
+    code, out, err = run_cli(capsys, cmd, "--p", "7", "--m", "1", "--theorem", "3.6",
+                             "--delta", point["delta"], "--gamma", point["gamma"])
+    assert (code, out, err) == (65, "", f"ppkit: {name}=49 out of [0, 49)\n")
+
+
 @pytest.mark.parametrize("cmd", ["decompose", "directions"])
 def test_tower_commands_refuse_the_trace_form_by_name(capsys, cmd):
     code, out, err = run_cli(capsys, cmd, "--p", "2", "--m", "2", "--theorem", "4.1", "--d", "1")

@@ -10,7 +10,7 @@ from ppkit.directions import (
     direction_set,
     permuting_translate_set,
 )
-from ppkit.errors import DomainTooLarge, KindContextMismatch
+from ppkit.errors import DomainTooLarge, ImageOutOfDomain, KindContextMismatch
 from ppkit.families import eval_family, family_for_theorem, family_images
 from ppkit.gf import build_field
 from ppkit.oracle import is_bijection
@@ -323,3 +323,18 @@ def test_tower_inv_reads_no_tower_tables():
     assert [T.inv(x) for x in range(1, T.order)] == inverses
     assert all(T.mul(x, y) == 1 for x, y in zip(range(1, T.order), inverses))
     assert direction_set(table.__getitem__, T) == want == _definition(T, table)
+
+
+@pytest.mark.parametrize(
+    "ctx", [build_field(7, 1), build_tower(build_field(3, 1)), build_field(2, 3)],
+    ids=["F7", "F3^2", "F8"],
+)
+@pytest.mark.parametrize("image", ["-1", "|F|"])
+def test_the_direction_kernels_refuse_images_outside_the_field(ctx, image):
+    # f(0) = -1 would read as the last encoding (D(f) the whole field, P(f)
+    # empty, and the duality reported to hold); f(0) = |F| indexes past the end
+    table = list(range(ctx.order))
+    table[0] = -1 if image == "-1" else ctx.order
+    for kernel in (direction_set, permuting_translate_set, check_complementarity):
+        with pytest.raises(ImageOutOfDomain, match=r"f\(0\) = "):
+            kernel(table.__getitem__, ctx)

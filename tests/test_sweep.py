@@ -631,7 +631,7 @@ def test_a_sweep_forms_gamma_times_lin_once_per_i(products):
 def test_the_kept_blocks_stay_within_a_block(products, tid, p, m):
     ctx = theorem_context(tid, p, m)
     gammas = range(1, ctx.q)
-    _, rows = sweep._head_rows(ctx, tid, p, m, None, None, range(3), gammas)
+    _, rows = sweep._head_rows(ctx, tid, None, None, range(3), gammas)
     kept = [blocks for _, _, blocks in rows]
     assert kept[0] is kept[1] is kept[2] and len(products) == 1  # one list, made once
     assert sum(len(blk) for blk in kept[0]) == len(gammas)
@@ -640,7 +640,7 @@ def test_the_kept_blocks_stay_within_a_block(products, tid, p, m):
 
 def test_the_trace_form_streams_its_one_row(products):
     field = theorem_context("4.1", 2, 3, d=3)
-    _, [(_, _, blocks)] = sweep._head_rows(field, "4.1", 2, 3, None, 3, None, range(field.order))
+    _, [(_, _, blocks)] = sweep._head_rows(field, "4.1", None, 3, None, range(field.order))
     assert not isinstance(blocks, list)  # order^2 images, read by this row alone
     assert sum(len(blk) for blk in blocks) == field.order
     assert len(products) == 1
