@@ -3,9 +3,7 @@ cubic and quintic permutation tests they rely on."""
 
 from __future__ import annotations
 
-import contextlib
 import functools
-from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Optional
 
@@ -146,8 +144,9 @@ class _Invariants:
     its first read: Tr of a delta or a gamma, N(gamma) (3.1-3.5), and the
     z-core of a delta (the F_q* theorems' exact test).
 
-    A one_verdict_per_class block keeps one, so each is computed once per
-    class or gamma of the sweep; a predict outside a block binds its own.
+    Each table that _bind makes keeps one: a sweep, which passes one table to
+    every predict of an i, computes each once per class or gamma; a lone
+    predict binds its own.
     """
 
     __slots__ = ("trace", "norm", "z_core")
@@ -158,42 +157,18 @@ class _Invariants:
         self.z_core = _Memo(lambda delta: _z_core(info, tower, delta, i))
 
 
-# (ctx, tid, i, d, info, _Memo of the Verdict at rep * order + gamma, ctx.order, ctx.q,
-# odd parity, info.needs_d) while a sweep runs; see one_verdict_per_class
-_verdicts: ContextVar[tuple | None] = ContextVar("ppkit_verdicts", default=None)
-
-
 def _bind(tid: str, ctx, i: int | None, d: int | None) -> tuple:
-    """The theorem checked on ctx, i and d, and a verdict table bound to them,
-    as _verdicts holds it: an empty _Memo of the class verdicts, on fresh
-    invariants (none for 4.1, which reads no table).
+    """The theorem checked on ctx, i and d, and a verdict table bound to them:
+    (info, an empty _Memo of the Verdict at rep * order + gamma, ctx.order,
+    ctx.q, odd parity, info.needs_d), as predict unpacks it.  The class
+    verdicts share fresh invariants (none for 4.1, which reads no table).
     3.13 without i raises MissingParam here, whatever delta and gamma."""
     info = theorem_info(tid)
     info.check(ctx, i, d)
     info.exponents(i)
     n, inv = ctx.order, None if info.needs_d else _Invariants(info, ctx, i)
     table = _Memo(lambda key: _class_verdict(tid, info, ctx, *divmod(key, n), i, inv))
-    return (ctx, tid, i, d, info, table, n, ctx.q, info.char == "odd", info.needs_d)
-
-
-@contextlib.contextmanager
-def one_verdict_per_class(tid: str, ctx, i: int | None = None, d: int | None = None):
-    """Within the block, predict(tid, ctx, delta, gamma, i, d) on this tid, this
-    ctx object and this i and d checks only delta and gamma, and computes each
-    (trace class of delta, gamma) once, returning that verdict for every delta
-    of the class.  Any other call binds a table of its own, for that call.
-
-    The theorem check runs once, here.  The class verdicts of the block share
-    one _Invariants, so Tr, N and the z-core are computed once per class or
-    gamma.  The sweep engine opens the block around one theorem on one field;
-    the table and the invariants are dropped on the way out, so nothing
-    outlives the sweep.
-    """
-    token = _verdicts.set(_bind(tid, ctx, i, d))
-    try:
-        yield
-    finally:
-        _verdicts.reset(token)
+    return (info, table, n, ctx.q, info.char == "odd", info.needs_d)
 
 
 def predict(
@@ -203,6 +178,8 @@ def predict(
     gamma: int = 0,
     i: int | None = None,
     d: int | None = None,
+    *,
+    _bound: tuple | None = None,
 ) -> Verdict:
     """Evaluate the theorem's criterion for the encoded parameters.
 
@@ -213,18 +190,18 @@ def predict(
     folding; those theorems are decided by the exact z-component test and the
     verdict carries a "folded" note when the case list disagrees.  A delta or
     gamma that is not an encoding in ctx, or a nonzero delta for the trace
-    form 4.1, raises InvalidParam.  Inside one_verdict_per_class, a call on
-    its theorem, field, i and d is checked and computed once per
-    (trace class of delta, gamma); any other call binds a one-call table.
+    form 4.1, raises InvalidParam.
+
+    _bound is _bind(tid, ctx, i, d) of this call's own tid, ctx, i and d; it
+    is not checked against them.  A sweep binds it once per i and passes it to
+    every predict of that i, which then checks only delta and gamma and
+    computes each (trace class of delta, gamma) once; without it, the call
+    binds a table of its own.
     """
     # Every criterion reads delta only through Tr(delta): x -> x + w moves delta
     # by w^q -+ w, which spans ker Tr.  With delta = c0 + c1*alpha the trace is
     # 2*c0 (odd) or c1 (even), so the least delta of that trace stands in for it.
-    bound = _verdicts.get()
-    if not (bound is not None and bound[0] is ctx
-            and bound[1] == tid and bound[2] == i and bound[3] == d):
-        bound = _bind(tid, ctx, i, d)
-    _, _, _, _, info, table, n, q, odd, needs_d = bound  # unpacked: a slice would build a tuple
+    info, table, n, q, odd, needs_d = _bound or _bind(tid, ctx, i, d)
     if not (0 <= delta < n and 0 <= gamma < n) or (delta and needs_d):
         info.check(ctx, i, d, delta=delta, gamma=gamma)  # raises InvalidParam
     if needs_d:

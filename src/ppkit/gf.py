@@ -329,8 +329,7 @@ class ArithCtx:
         the p-adic digits of an encoding (tower encodings included) in base
         2p - 1, where two spreads add without carry, and unspread, of length
         (2p - 1)^k for order p^k, reduces each digit mod p.  spread[exp] lets
-        line_products spread a product with the same gather that forms it.  Once
-        built, FieldCtx's scalar inv and mul read exp and log.
+        line_products spread a product with the same gather that forms it.
         """
         if self._tables is None:
             n, p = self.order, self.p
@@ -360,7 +359,6 @@ class ArithCtx:
                 self._spread, self._unspread = spread, unspread
                 self._spread_exp = spread[self._exp]
                 self._tables += (spread, unspread, self._spread_exp)
-            self._exp_list, self._log_list = self._exp.tolist(), self._log.tolist()
         return self._tables
 
     def add_vec(self, x, y):
@@ -465,8 +463,13 @@ class FieldCtx(ArithCtx):
         prod = _poly_mul(_enc_to_poly(x, self.p), _enc_to_poly(y, self.p), self.p)
         return _poly_to_enc(_poly_mod(prod, self.modulus, self.p), self.p)
 
-    # bound in this class too, so per-class instrumentation sees field calls
-    tables = ArithCtx.tables
+    def tables(self):
+        """ArithCtx.tables, and exp and log as lists, which the scalar mul and
+        inv read; a tower's scalar ops run on its base's, so it makes none."""
+        if self._exp_list is None:
+            super().tables()
+            self._exp_list, self._log_list = self._exp.tolist(), self._log.tolist()
+        return self._tables
 
     # -- misc ----------------------------------------------------------------
 
@@ -485,13 +488,16 @@ _CTX_TOKEN = object()
 
 @functools.cache
 def build_field(p: int, m: int) -> FieldCtx:
-    """Construct F_{p^m} with the canonical deterministic modulus."""
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+    """Construct F_{p^m} with the canonical deterministic modulus.
+
+    The size bound is checked before p's primality, whose trial division
+    would otherwise take as long as sqrt(p) steps on a p far past the bound."""
     if m < 1:
         raise InvalidParam(f"m={m}; a field needs m >= 1")
     if m >= max_field_size().bit_length() or p**m > max_field_size():  # p^m >= 2^m
         raise DegreeTooLarge(f"p^m = {p}^{m} exceeds bound {max_field_size()}")
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
     return FieldCtx(p, m, _token=_CTX_TOKEN)
 
 

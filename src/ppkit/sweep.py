@@ -80,22 +80,21 @@ def _records(ctx, tid: str, i, d, deltas, gammas) -> list[SweepRecord]:
 
     Each record is made in one call, SweepRecord._make of the flat tuple of
     its 13 fields; no other code makes a SweepRecord.
-    The oracle runs on every record, one image vector at a time; predict,
-    bound to this theorem, field, i and d, checks them once per sweep and
-    computes one verdict per (trace class of delta, gamma).
+    The oracle runs on every record, one image vector at a time; predict gets
+    one verdict table, bound to this theorem, field, i and d, so the theorem
+    is checked once and one verdict computed per (trace class of delta, gamma).
     """
     head, rows = _head_rows(ctx, tid, i, d, deltas, gammas)
     records, make, order = [], SweepRecord._make, ctx.order
-    predict, permutes = criteria.predict, images_permute
-    with criteria.one_verdict_per_class(tid, ctx, i, d):
-        for delta, acc, blocks in rows:
-            for gamma, images in zip(gammas, chain.from_iterable(ctx.line_rows(acc, blocks)), strict=True):
-                pp = permutes(images, order)
-                v = predict(tid, ctx, delta, gamma, i, d)
-                records.append(
-                    make((*head, delta, gamma, v.predicted, v.matched_case, pp,
-                          v.predicted == pp, v.notes))
-                )
+    predict, permutes, bound = criteria.predict, images_permute, criteria._bind(tid, ctx, i, d)
+    for delta, acc, blocks in rows:
+        for gamma, images in zip(gammas, chain.from_iterable(ctx.line_rows(acc, blocks)), strict=True):
+            pp = permutes(images, order)
+            v = predict(tid, ctx, delta, gamma, i, d, _bound=bound)
+            records.append(
+                make((*head, delta, gamma, v.predicted, v.matched_case, pp,
+                      v.predicted == pp, v.notes))
+            )
     return records
 
 

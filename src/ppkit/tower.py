@@ -136,7 +136,9 @@ def build_tower(base: FieldCtx, u: int | None = None) -> TowerCtx:
             if canonical not in towers:
                 towers[canonical] = TowerCtx(base, canonical)
             towers[None] = towers[canonical]
-        elif _admissible(base, base.elem(u).enc):  # elem refuses u outside [0, q)
+        elif not 0 <= u < base.q:
+            raise InvalidParam(f"u={u} out of [0, {base.q})")
+        elif _admissible(base, u):
             towers[u] = TowerCtx(base, u)
         else:
             raise InvalidParam(f"u={u} has absolute trace 0" if base.p == 2 else f"u={u} is a square in F_{base.q}")

@@ -305,6 +305,7 @@ def test_sweep_deterministic_across_processes(tmp_path):
         "decompose --p 3 --m 1 --theorem 3.14 --delta 99",
         "directions --p 3 --m 1 --theorem 3.14 --delta 99",
         "field-info --p 3 --m 1 --u 1",
+        "field-info --p 1000000000000000009 --m 1",  # past the bound: refused before any trial division
         "sweep --p 3 --m 1 --theorem 3.13",
         "sweep --p 3 --m 0 --theorem 3.14",
         "field-info --p 3 --m 0",
@@ -338,6 +339,15 @@ def test_range_errors_name_the_parameter(capsys, cmd, name):
     code, out, err = run_cli(capsys, cmd, "--p", "7", "--m", "1", "--theorem", "3.6",
                              "--delta", point["delta"], "--gamma", point["gamma"])
     assert (code, out, err) == (65, "", f"ppkit: {name}=49 out of [0, 49)\n")
+
+
+@pytest.mark.parametrize("cmd", ["field-info", "check", "sweep", "decompose", "directions"])
+def test_a_u_out_of_range_is_named(capsys, cmd):
+    point = [] if cmd == "field-info" else ["--theorem", "3.6"]
+    if cmd in ("check", "decompose", "directions"):
+        point += ["--delta", "1", "--gamma", "1"]
+    code, out, err = run_cli(capsys, cmd, "--p", "3", "--m", "2", "--u", "9", *point)
+    assert (code, out, err) == (65, "", "ppkit: u=9 out of [0, 9)\n")
 
 
 @pytest.mark.parametrize("cmd", ["decompose", "directions"])

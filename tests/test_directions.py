@@ -311,16 +311,15 @@ def test_complementary_matches_definition(p, m, monkeypatch):
 
 def test_tower_inv_reads_no_tower_tables():
     # the tower's scalar ops, direction_set's inv included, run on the base
-    # field's tables alone: poisoned exp/log lists of the tower change nothing
+    # field's tables alone: the tower builds no exp/log lists for them to read
     T = _fresh_tower(7)
     T.tables()
+    assert T._exp_list is None and not hasattr(T, "_log_list")
     inverses = [T.inv(x) for x in range(1, T.order)]
+    assert inverses == [T.pow(x, T.order - 2) for x in range(1, T.order)]
     table = random.Random(3).sample(range(T.order), T.order)
     # on another tower: T keeps the inverses of its first direction_set call
     want = direction_set(table.__getitem__, _fresh_tower(7))
-    T._exp_list = [0] * len(T._exp_list)
-    T._log_list = [0] * len(T._log_list)
-    assert [T.inv(x) for x in range(1, T.order)] == inverses
     assert all(T.mul(x, y) == 1 for x, y in zip(range(1, T.order), inverses))
     assert direction_set(table.__getitem__, T) == want == _definition(T, table)
 

@@ -13,6 +13,7 @@ from ppkit.errors import (
     NotPrime,
     PPKitError,
 )
+from ppkit import gf
 from ppkit.cli import main
 from ppkit.gf import (
     _CTX_TOKEN,
@@ -40,6 +41,15 @@ def test_non_prime_characteristic_rejected():
         build_field(4, 1)
     with pytest.raises(NotPrime):
         build_field(1, 2)
+
+
+def test_the_size_bound_is_checked_before_primality(monkeypatch):
+    # trial division of p = 10^18 + 9 would take 10^9 steps
+    calls = []
+    monkeypatch.setattr(gf, "is_prime", lambda n: calls.append(n) or True)
+    with pytest.raises(DegreeTooLarge):
+        build_field(10**18 + 9, 1)
+    assert calls == []
 
 
 def test_field_size_bound(monkeypatch, capsys):

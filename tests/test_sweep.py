@@ -478,7 +478,6 @@ def test_a_sweep_computes_one_verdict_per_class_and_gamma(computed, args, classe
     computed.clear()
     assert sweep_theorem(*args) == first
     assert len(computed) == classes * gammas  # nothing carried over from the first sweep
-    assert criteria._verdicts.get() is None
 
 
 def test_a_failed_sweep_leaves_no_table(computed, monkeypatch):
@@ -493,7 +492,6 @@ def test_a_failed_sweep_leaves_no_table(computed, monkeypatch):
     monkeypatch.setattr(sweep, "images_permute", failing)
     with pytest.raises(RuntimeError, match="oracle down"):
         sweep_theorem("3.6", 3, 2)
-    assert criteria._verdicts.get() is None
     computed.clear()
     tower = theorem_context("3.6", 3, 2)
     predict("3.6", tower, 14, 1)
@@ -509,34 +507,47 @@ def test_predict_outside_a_sweep_computes_every_call(computed):
 
 def test_the_verdict_table_is_bound_to_its_theorem_field_i_and_d(computed):
     tower = theorem_context("3.6", 5, 1)
-    want = {tid: predict(tid, tower, 0, 1) for tid in ("3.6", "3.8")}
-    assert want["3.8"] == criteria.Verdict(True, "3.8(i)") != want["3.6"]
-    other = build_tower(gf.FieldCtx(5, 1, _token=gf._CTX_TOKEN), u=tower.u)  # equal, not the same
-    with criteria.one_verdict_per_class("3.6", tower):
-        assert predict("3.6", tower, 0, 1) == want["3.6"]
-        computed.clear()
-        assert predict("3.6", tower, 5, 1) == want["3.6"]  # Tr(5) = Tr(0): one class
-        assert computed == []
-        assert predict("3.8", tower, 0, 1) == want["3.8"]  # not 3.6's verdict from the table
-        assert predict("3.6", other, 0, 1) == want["3.6"]
-        assert len(computed) == 2  # both took the full path
-        for delta, gamma in [(tower.order, 1), (0, tower.order), (-1, 1), (0, -1)]:
-            with pytest.raises(InvalidParam):
-                predict("3.6", tower, delta, gamma)
+    q = tower.q
+    points = [(delta, gamma) for delta in range(tower.order) for gamma in range(1, q)]
+    lone = [predict("3.6", tower, *pt) for pt in points]
+    computed.clear()
+    bound = criteria._bind("3.6", tower, None, None)
+    assert [predict("3.6", tower, *pt, _bound=bound) for pt in points] == lone
+    # Tr(delta) = 2 * (delta mod q): one verdict per class, at its least delta
+    assert sorted(computed) == [(rep, gamma) for rep in range(q) for gamma in range(1, q)]
+    for delta, gamma in [(tower.order, 1), (0, tower.order), (-1, 1), (0, -1)]:
+        assert _raised(lambda: predict("3.6", tower, delta, gamma, _bound=bound)) == _raised(
+            lambda: predict("3.6", tower, delta, gamma))
 
 
 def test_the_bound_path_checks_i_and_d_like_the_full_path():
     tower = theorem_context("3.13", 3, 2, i=1)
     field = theorem_context("4.1", 2, 3, d=1)
-    outside = predict("3.13", tower, 1, 1, i=2)  # i = 2 is out of [1, m): a probe
-    with criteria.one_verdict_per_class("3.13", tower, i=1):
-        assert predict("3.13", tower, 1, 1, i=2) == outside
-    with criteria.one_verdict_per_class("4.1", field, d=1):
-        assert predict("4.1", field, 0, 3, d=1) == criteria._predict_41(field, 3, 1)
-        with pytest.raises(InvalidParam, match="has no delta"):
-            predict("4.1", field, 1, 3, d=1)
-        with pytest.raises(InvalidParam):
-            predict("4.1", field, 0, field.order, d=1)
+    bound = criteria._bind("3.13", tower, 2, None)  # i = 2 is out of [1, m): a probe
+    assert predict("3.13", tower, 1, 1, i=2, _bound=bound) == predict("3.13", tower, 1, 1, i=2)
+    bound = criteria._bind("4.1", field, None, 1)
+    assert predict("4.1", field, 0, 3, d=1, _bound=bound) == criteria._predict_41(field, 3, 1)
+    for delta, gamma in [(1, 3), (0, field.order)]:  # a nonzero delta, a gamma out of range
+        assert _raised(lambda: predict("4.1", field, delta, gamma, d=1, _bound=bound)) == _raised(
+            lambda: predict("4.1", field, delta, gamma, d=1))
+    with pytest.raises(InvalidParam, match="has no delta"):
+        predict("4.1", field, 1, 3, d=1, _bound=bound)
+
+
+def test_a_predict_made_during_a_sweep_gets_its_lone_verdict(monkeypatch):
+    want = sweep_theorem("3.6", 5, 1)
+    tower = theorem_context("3.8", 5, 1)
+    lone = predict("3.8", tower, 0, 1)
+    assert lone == criteria.Verdict(True, "3.8(i)") != predict("3.6", tower, 0, 1)
+    seen, body = [], sweep.images_permute
+
+    def permutes(images, size):  # on the tower the 3.6 sweep runs on
+        seen.append(predict("3.8", tower, 0, 1))
+        return body(images, size)
+
+    monkeypatch.setattr(sweep, "images_permute", permutes)
+    assert sweep_theorem("3.6", 5, 1) == want
+    assert len(seen) == len(want) and set(seen) == {lone}
 
 
 def _raised(call) -> tuple:
@@ -546,7 +557,7 @@ def _raised(call) -> tuple:
     return exc.type, str(exc.value)
 
 
-def test_predict_raises_alike_outside_and_inside_another_theorems_block():
+def test_predict_raises_each_refusal_by_type():
     T9 = theorem_context("3.6", 3, 2)
     T8 = theorem_context("3.19", 2, 3)
     F8 = theorem_context("4.1", 2, 3, d=1)
@@ -559,12 +570,9 @@ def test_predict_raises_alike_outside_and_inside_another_theorems_block():
         ("4.1", F8, 1, 1, None, 1),  # a nonzero delta on 4.1
         ("3.13", T9, 1, 1),  # 3.13 without i
     ]
-    outside = [_raised(lambda: predict(*c)) for c in calls]
-    assert [kind for kind, _ in outside] == [
+    raised = [_raised(lambda: predict(*c)) for c in calls]
+    assert [kind for kind, _ in raised] == [
         UnknownTheorem, *[WrongCharacteristic] * 3, *[InvalidParam] * 6, MissingParam]
-    for tid, ctx in [("3.8", T9), ("3.19", T8)]:
-        with criteria.one_verdict_per_class(tid, ctx):
-            assert [_raised(lambda: predict(*c)) for c in calls] == outside, tid
 
 
 def test_the_theorem_check_runs_once_per_sweep(monkeypatch):
@@ -584,10 +592,8 @@ def test_the_theorem_check_runs_once_per_sweep(monkeypatch):
         assert sweep_theorem(tid, 3, m)
         per_sweep.append(len(calls))
     assert per_sweep == [3, 3, 3, 3]  # the field, the family, the verdict table
-    with pytest.raises(WrongCharacteristic):  # a foreign field is refused on entry
-        with criteria.one_verdict_per_class("3.6", build_field(3, 2)):
-            pass
-    assert criteria._verdicts.get() is None
+    with pytest.raises(WrongCharacteristic):  # a foreign field is refused as the table is bound
+        criteria._bind("3.6", build_field(3, 2), None, None)
 
 
 @pytest.mark.parametrize("tid, p, m", [("3.6", 3, 2), ("3.6", 5, 2), ("3.13", 3, 3)],
@@ -679,16 +685,14 @@ def test_the_invariants_stay_within_their_block(tid, other, p, m):
             if r.delta < tower.q:  # the least delta of its class
                 assert check_single(tid, p, m, r.delta, r.gamma, u=tower.u) == r, r
                 want[tower, r.delta, r.gamma] = criteria.Verdict(r.predicted, r.matched_case, r.note)
-        assert criteria._verdicts.get() is None
     t1, t2 = towers
     points = [(delta, gamma) for tower, delta, gamma in want if tower is t1]
-    beside = [predict(other, t1, *pt) for pt in points]  # outside any block
-    with criteria.one_verdict_per_class(tid, t1):
-        assert [predict(tid, t1, *pt) for pt in points] == [want[(t1, *pt)] for pt in points]
-        # t1's invariants are filled now; the other tower and theorem do not read them
-        assert [predict(tid, t2, *pt) for pt in points] == [want[(t2, *pt)] for pt in points]
-        assert [predict(other, t1, *pt) for pt in points] == beside
-    assert criteria._verdicts.get() is None
+    beside = [predict(other, t1, *pt) for pt in points]  # lone calls
+    bound = criteria._bind(tid, t1, None, None)
+    assert [predict(tid, t1, *pt, _bound=bound) for pt in points] == [want[(t1, *pt)] for pt in points]
+    # t1's invariants are filled now; the other tower and theorem do not read them
+    assert [predict(tid, t2, *pt) for pt in points] == [want[(t2, *pt)] for pt in points]
+    assert [predict(other, t1, *pt) for pt in points] == beside
 
 
 @pytest.mark.parametrize("p, m", [(3, 2), (5, 2), (3, 3)], ids=["F9", "F25", "F27"])
