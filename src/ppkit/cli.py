@@ -8,21 +8,18 @@ succeeded), 2 at least one disagreement, 64 usage error, 65 domain error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
-from json.encoder import encode_basestring_ascii as _escape
 from typing import Callable
 
-from . import sweep as sweep_mod
+from . import families, sweep as sweep_mod
 from .decompose import lemma31_extract
 from .directions import check_complementarity, direction_order
 from .errors import InvalidParam, KindContextMismatch, PPKitError
 from .families import (
     closed_form_components,
     family_for_theorem,
-    family_images,
     theorem_context,
     theorem_info,
 )
@@ -163,36 +160,6 @@ def _read_argv(argv) -> argparse.Namespace | None:
     return argparse.Namespace(**out)
 
 
-def _dumps(obj, nl: str = "\n") -> str:
-    """json.dumps(obj, indent=2), byte for byte, without json's pure-Python
-    indent encoder.
-
-    Dicts with str keys, lists, str, int, bool and None are laid out here,
-    strings through json's C escaper and ints by int.__repr__.  Any other
-    value is json.dumps's own, indented to its depth, which is exact since a
-    JSON text holds no newline but those of its layout.  nl is the newline
-    and indent that close obj.
-    """
-    kind = type(obj)
-    if kind is int:
-        return int.__repr__(obj)
-    if kind is str:
-        return _escape(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    inner = nl + "  "
-    if kind is list and obj:
-        return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in obj]) + nl + "]"
-    if kind is dict and obj and all(type(k) is str for k in obj):
-        items = [_escape(k) + ": " + _dumps(v, inner) for k, v in obj.items()]
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
-    return json.dumps(obj, indent=2).replace("\n", nl)
-
-
 def _resolve_delta(ctx, args) -> int:
     if args.delta is not None:
         return args.delta
@@ -220,7 +187,7 @@ def _cmd_field_info(args) -> int:
         "tower_order": tower.order,
         "valid_us": valid_us(base),
     }
-    print(_dumps(info))
+    print(json.dumps(info, indent=2))
     return EXIT_OK
 
 
@@ -230,7 +197,7 @@ def _cmd_check(args) -> int:
     if args.gamma is None:
         raise PPKitError("check requires --gamma")
     rec = sweep_mod.check_on(ctx, args.theorem, delta, args.gamma, i=args.i, d=args.d)
-    print(_dumps(rec.serialize()))
+    print(json.dumps(rec.serialize(), indent=2))
     return EXIT_DISAGREE if sweep_mod.disagreements([rec]) else EXIT_OK
 
 
@@ -270,23 +237,23 @@ def _cmd_decompose(args) -> int:
     extracted = lemma31_extract(spec, tower)
     closed = closed_form_components(args.theorem, tower, tower.elem(spec.delta), tower.elem(spec.gamma), i=args.i)
     match = closed.same_values(extracted)
-    print(_dumps({
+    print(json.dumps({
         "theorem": args.theorem,
         "delta": spec.delta,
         "gamma": spec.gamma,
         "closed_form": closed.serialize(),
         "extracted": extracted.serialize(),
         "values_match": match,
-    }))
+    }, indent=2))
     return EXIT_OK if match else EXIT_DISAGREE
 
 
 def _cmd_directions(args) -> int:
     tower, spec = _tower_family(args, gamma=0)
     direction_order(tower)  # the size guard, before the tower's tables are built
-    # duality is checked for the family with its linear part removed
-    images = family_images(dataclasses.replace(spec, gamma=0), tower)
-    report = check_complementarity(images.tolist().__getitem__, tower)
+    # duality is checked for f at gamma = 0, the acc of f = acc + gamma * lin
+    [(_, acc, _)] = families.delta_power_rows(spec, tower, (spec.delta,))
+    report = check_complementarity(acc.tolist().__getitem__, tower)
     out = {
         "theorem": args.theorem,
         "delta": spec.delta,
@@ -297,7 +264,7 @@ def _cmd_directions(args) -> int:
     }
     if args.gamma is not None:  # an explicit 0 asks whether f itself permutes
         out["gamma_permutes"] = spec.gamma in report.permuting
-    print(_dumps(out))
+    print(json.dumps(out, indent=2))
     return EXIT_OK if report.complementary else EXIT_DISAGREE
 
 

@@ -176,5 +176,5 @@ def substitution_alpha(t: TowerCtx, delta: int, z):
     b = t.base
     a_enc, b_enc = t.split(delta)
     if t.kind == "odd":
-        return b.neg(b.mul(b.sub(z, b_enc), t._half))
+        return b.mul(b.sub(b_enc, z), t._half)
     return b.add(z, a_enc)

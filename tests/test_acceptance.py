@@ -112,6 +112,21 @@ def test_criterion_1_exhaustive_sweeps():
     )
 
 
+def test_fold_gate_flags_a_stated_case_voided_past_its_bound(monkeypatch):
+    # a 3.6 that states a permutation at every point: the exact z-component
+    # test overrules it wherever f does not permute, and the record agrees
+    # with the oracle, so only criterion 1's fold filter can see the wrong case
+    monkeypatch.setitem(criteria._STATEMENTS, "3.6", lambda *a: criteria.Verdict(True, "3.6(iii)"))
+    recs = sweep_theorem("3.6", 7, 1)
+    voided = [r for r in recs if r.note == criteria.VOIDED]
+    assert (len(voided), len(recs)) == (245, 294) and not disagreements(recs)
+    assert 7 > FOLD_BOUND["3.6"]
+    assert voided == [
+        r for r in recs
+        if r.note in (criteria.FOLDED, criteria.VOIDED) and r.p**r.m > FOLD_BOUND.get(r.tid, 0)
+    ]
+
+
 def test_case_labels_cover_every_stated_case():
     # each stated case returns Verdict(True, label) under its condition, so the
     # regex above reads every label, 3.13, 3.16, 3.19(ii) and (iii) among them

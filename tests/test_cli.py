@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import ppkit
 from ppkit import families
-from ppkit.cli import _dumps, _grammar, _read_argv, _resolve_delta, build_parser, main
+from ppkit.cli import _grammar, _read_argv, _resolve_delta, build_parser, main
 from ppkit.errors import PPKitError
 from ppkit.families import eval_family, family_for_theorem
 from ppkit.gf import build_field
@@ -298,6 +298,7 @@ def test_sweep_deterministic_across_processes(tmp_path):
         "check --p 3 --m 1 --theorem 3.14 --delta 99 --gamma 1",
         "check --p 3 --m 1 --theorem 3.14 --delta 1 --gamma 99",
         "check --p 3 --m 1 --theorem 3.14 --delta 1 --gamma -1",
+        "check --p 3 --m 1 --theorem 3.14 --delta 1",
         "check --p 2 --m 2 --theorem 4.1 --d 1 --gamma 99",
         "check --p 2 --m 2 --theorem 4.1 --d 1 --delta 3 --gamma 1",
         "check --p 3 --m 1 --theorem 3.2 --delta -1 --gamma 1",
@@ -511,19 +512,3 @@ def test_reader_returns_what_argparse_returns(case):
         assert list(vars(got)) == list(vars(want))
     else:  # argv as the grammar declares it is the reader's to read
         assert corrupted, argv
-
-
-_text = st.text(st.sampled_from('a"\\/\x00\x1f\x7f\n\t\u00e9\u2028\ud800\U0001f600 ')) | st.text()
-_json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.integers(-2**100, 2**100) | _text
-    | st.floats(),  # not a kind the writer lays out: json.dumps writes it
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_text, inner, max_size=4)
-    | st.tuples(inner, inner) | st.dictionaries(st.integers(), inner, max_size=2),
-    max_leaves=40,
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_json_values)
-def test_writer_matches_json_dumps_indent_2(obj):
-    assert _dumps(obj) == json.dumps(obj, indent=2)

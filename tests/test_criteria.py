@@ -11,6 +11,7 @@ from ppkit.criteria import (
 )
 from ppkit.errors import (
     GammaNotInSubfield,
+    ImageOutOfDomain,
     InvalidParam,
     InvalidSubfield,
     MissingParam,
@@ -185,6 +186,15 @@ def test_reduce_trace_composed_and_h():
     assert f_pp == h_permutes_subfield(F, 3, h)
     with pytest.raises(ValueError):
         reduce_trace_composed((1,), F, 2)
+
+
+def test_h_permutes_subfield_refuses_an_h_that_leaves_it():
+    F = build_field(3, 2)
+    assert h_permutes_subfield(F, 3, (0, 0))  # x
+    assert not h_permutes_subfield(F, 3, (0, 2))  # x + 2x^3 = 0 on F_3
+    # x + 3x, injective on F_9, maps {0, 1, 2} to {0, 4, 8}: not a map of F_3
+    with pytest.raises(ImageOutOfDomain):
+        h_permutes_subfield(F, 3, (3, 0))
 
 
 def test_t319_subfield_h_diagram():

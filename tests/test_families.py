@@ -69,6 +69,13 @@ def test_family_kinds_need_matching_context():
     for s, ctx in [(spec, T_even), (spec, F), (spec19, T_odd)]:  # the vector path too
         with pytest.raises(KindContextMismatch):
             family_images(s, ctx)
+    for s in (FamilySpec(kind="trace_form", gamma=1), FamilySpec(kind="trace_composed", g_coeffs=(1, 4))):
+        with pytest.raises(KindContextMismatch):  # the flat-field kinds on a tower
+            eval_family(s, T_odd, 0)
+    with pytest.raises(ValueError, match="odd d"):
+        eval_family(FamilySpec(kind="trace_form", d=2, gamma=1), build_field(2, 4), 0)
+    with pytest.raises(ValueError, match="unknown family kind"):
+        eval_family(FamilySpec(kind="cubic"), F, 0)
 
 
 def test_out_of_range_encodings_raise_invalid_param():

@@ -171,6 +171,8 @@ def test_elem_operators_and_mixed_contexts():
     assert (a + 1).enc == F.add(4, F.scalar(1))
     with pytest.raises(MixedContexts):
         _ = a + G.elem(1)
+    with pytest.raises(InvalidParam):  # an encoding past the field
+        F.elem(9)
 
 
 def test_trace_is_additive_and_surjective():

@@ -27,7 +27,7 @@ def test_images_permute():
     block = np.array([[2, 0, 1], [0, 0, 1]])  # a sweep passes the rows of a block
     for images, want in (([2, 0, 1], True), ([0, 0, 1], False), (block[0], True), (block[1], False)):
         assert images_permute(np.asarray(images), 3) is want  # a Python bool, not np.bool_
-    for images in ([0, 3], [-1, 0], [0, 1], [0, 1, 2, 2]):  # short or long vectors too
+    for images in ([0, 1, 3], [-1, 0, 1], [0, 3], [-1, 0], [0, 1], [0, 1, 2, 2]):  # short or long vectors too
         with pytest.raises(ImageOutOfDomain):
             images_permute(np.array(images), 3)
 
