@@ -11,7 +11,6 @@ import argparse
 import functools
 import json
 import sys
-from typing import Callable
 
 from . import families, sweep as sweep_mod
 from .decompose import lemma31_extract
@@ -41,123 +40,54 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-class _Flag:
-    """One `--flag value` option of a subcommand, as build_parser declares it
-    to argparse and as _read_argv reads it.  dest is the Namespace attribute,
-    and the flag is --dest with - for _; the flags of one group exclude each
-    other.  A plain class, as a named tuple would cost each import of the
-    CLI a class build."""
-
-    __slots__ = ("dest", "help", "type", "required", "default", "choices", "group")
-
-    def __init__(self, dest: str, help: str | None = None,
-                 type: Callable[[str], object] | None = None, *, required: bool = False,
-                 default=None, choices: tuple | None = None, group: str | None = None):
-        self.dest, self.help, self.type, self.required = dest, help, type, required
-        self.default, self.choices, self.group = default, choices, group
-
-
-@functools.cache
-def _grammar() -> dict[str, tuple[str, dict[str, _Flag]]]:
-    """Every subcommand's help and its flags by --name, in the order --help
-    lists them: the one declaration that build_parser and _read_argv both
-    read, built on first use."""
-    field = (
-        _Flag("p", "characteristic", int, required=True),
-        _Flag("m", "extension degree of F_q", int, required=True),
-        _Flag("u", "override the tower's u", int),
-    )
-    theorem = (
-        _Flag("theorem", "theorem id, e.g. 3.6", required=True),
-        _Flag("i", "exponent parameter i", int),
-        _Flag("d", "odd extension degree d", int),
-    )
-    point = field + theorem + (
-        _Flag("delta", "delta encoding in F_{q^2}", int, group="delta"),
-        _Flag("trdelta", "base-field encoding of Tr(delta); picks the least matching delta", int,
-              group="delta"),
-        _Flag("gamma", "gamma encoding", int),
-    )
-    sweep = field + theorem + (
-        _Flag("gamma_domain",
-              "restrict gamma to the theorem's hypothesis (default) or probe all of F_{q^2}",
-              choices=("stated", "full"), default="stated"),
-        _Flag("out", "output path (default stdout)"),
-        _Flag("format", choices=("jsonl", "csv"), default="jsonl"),
-    )
-
-    def command(help, flags):
-        return help, {"--" + f.dest.replace("_", "-"): f for f in flags}
-
-    return {
-        "field-info": command("describe F_q and its tower", field),
-        "check": command("compare criterion and oracle at one point", point),
-        "sweep": command("exhaustive (delta, gamma) sweep", sweep),
-        "decompose": command("closed-form vs extracted components", point),
-        "directions": command("direction/permuting-slope duality", point),
-    }
-
-
 @functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def build_parser() -> _Parser:
     ap = _Parser(prog="ppkit", description="permutation family toolkit")
     sub = ap.add_subparsers(dest="cmd", required=True)
-    for cmd, (help, flags) in _grammar().items():
+    for cmd, help in [
+        ("field-info", "describe F_q and its tower"),
+        ("check", "compare criterion and oracle at one point"),
+        ("sweep", "exhaustive (delta, gamma) sweep"),
+        ("decompose", "closed-form vs extracted components"),
+        ("directions", "direction/permuting-slope duality"),
+    ]:
         sp = sub.add_parser(cmd, help=help)
-        groups = {None: sp}
-        for name, flag in flags.items():
-            if flag.group not in groups:
-                groups[flag.group] = sp.add_mutually_exclusive_group()
-            groups[flag.group].add_argument(name, type=flag.type, required=flag.required,
-                                            default=flag.default, choices=flag.choices, help=flag.help)
+        sp.add_argument("--p", type=int, required=True, help="characteristic")
+        sp.add_argument("--m", type=int, required=True, help="extension degree of F_q")
+        sp.add_argument("--u", type=int, help="override the tower's u")
+        if cmd == "field-info":
+            continue
+        sp.add_argument("--theorem", required=True, help="theorem id, e.g. 3.6")
+        sp.add_argument("--i", type=int, help="exponent parameter i")
+        sp.add_argument("--d", type=int, help="odd extension degree d")
+        if cmd == "sweep":
+            sp.add_argument("--gamma-domain", choices=("stated", "full"), default="stated",
+                            help="restrict gamma to the theorem's hypothesis (default) or probe all of F_{q^2}")
+            sp.add_argument("--out", help="output path (default stdout)")
+            sp.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
+            continue
+        delta = sp.add_mutually_exclusive_group()
+        delta.add_argument("--delta", type=int, help="delta encoding in F_{q^2}")
+        delta.add_argument("--trdelta", type=int,
+                           help="base-field encoding of Tr(delta); picks the least matching delta")
+        sp.add_argument("--gamma", type=int, help="gamma encoding")
+    ap.commands = sub.choices  # each subcommand's parser by name, for _parse
     return ap
 
 
-def _read_argv(argv) -> argparse.Namespace | None:
-    """The Namespace that build_parser().parse_args(argv) returns, read without
-    argparse; or None.
-
-    It reads only a subcommand followed by `--flag value` pairs: each flag one
-    of the subcommand's, given once, with a value that does not start with
-    '-', converted by the flag's type and within its choices; every required
-    flag given, and no two flags of one group.  Anything else (--help, usage
-    errors, negative values, repeated flags, --flag=value) gets None, and
-    argparse reads it.
-    """
+def _parse(argv) -> argparse.Namespace:
+    """build_parser().parse_args(argv).  An argv that starts with a subcommand
+    is read by that subcommand's own parser, as parse_args would hand it on,
+    at about half the cost; the whole parser reads anything else and reports
+    arguments left over."""
     if argv is None:
         argv = sys.argv[1:]
-    if len(argv) % 2 == 0:  # an empty argv too
-        return None
-    command = _grammar().get(argv[0])
-    if command is None:
-        return None
-    _, flags = command
-    given = {}
-    for name, value in zip(argv[1::2], argv[2::2]):
-        flag = flags.get(name)
-        if flag is None or name in given or value.startswith("-"):
-            return None
-        if flag.type is not None:
-            try:
-                value = flag.type(value)
-            except (TypeError, ValueError):  # what argparse reports as an invalid value
-                return None
-        if flag.choices is not None and value not in flag.choices:
-            return None
-        given[name] = value
-    out, groups = {"cmd": argv[0]}, set()
-    for name, flag in flags.items():
-        if name in given:
-            if flag.group is not None:
-                if flag.group in groups:
-                    return None
-                groups.add(flag.group)
-            out[flag.dest] = given[name]
-        elif flag.required:
-            return None
-        else:
-            out[flag.dest] = flag.default
-    return argparse.Namespace(**out)
+    ap = build_parser()
+    if argv and argv[0] in ap.commands:
+        args, rest = ap.commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(cmd=argv[0]))
+        if not rest:
+            return args
+    return ap.parse_args(argv)
 
 
 def _resolve_delta(ctx, args) -> int:
@@ -269,9 +199,7 @@ def _cmd_directions(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _read_argv(argv)
-    if args is None:
-        args = build_parser().parse_args(argv)
+    args = _parse(argv)
     handlers = {
         "field-info": _cmd_field_info,
         "check": _cmd_check,

@@ -7,7 +7,7 @@ import functools
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import GammaNotInSubfield, WrongCharacteristic
+from .errors import GammaNotInSubfield, ImageOutOfDomain, WrongCharacteristic
 from .families import _core_part, theorem_info
 from .gf import FieldCtx, power_class, subfield_elements, subfield_order, trace_sum
 from .oracle import is_bijection
@@ -503,19 +503,22 @@ def reduce_trace_composed(g_coeffs, field: FieldCtx, n: int) -> list[int]:
 def h_permutes_subfield(field: FieldCtx, q: int, h_coeffs) -> bool:
     """Does h(x) = x + sum h_coeffs[i-1] x^i permute the subfield of order q?
     The oracle's bijection test over the subfield's positions decides it; an
-    image outside the subfield raises ImageOutOfDomain."""
+    image outside the subfield raises ImageOutOfDomain, naming the element and
+    its image."""
     S = subfield_elements(field, q)
     pos = {x: k for k, x in enumerate(S)}
 
-    def h(x):
-        acc = x
+    def h(k):
+        x = acc = S[k]
         tpow = 1
         for c in h_coeffs:
             tpow = field.mul(tpow, x)
             acc = field.add(acc, field.mul(c, tpow))
-        return acc
+        if acc not in pos:
+            raise ImageOutOfDomain(f"h({x}) = {acc} outside F_{q}")
+        return pos[acc]
 
-    return is_bijection(lambda k: pos.get(h(S[k]), -1), len(S)).is_permutation
+    return is_bijection(h, len(S)).is_permutation
 
 
 def t319_subfield_h(tower: TowerCtx, delta: int, c: int) -> tuple[int, int, int]:

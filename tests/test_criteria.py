@@ -193,7 +193,7 @@ def test_h_permutes_subfield_refuses_an_h_that_leaves_it():
     assert h_permutes_subfield(F, 3, (0, 0))  # x
     assert not h_permutes_subfield(F, 3, (0, 2))  # x + 2x^3 = 0 on F_3
     # x + 3x, injective on F_9, maps {0, 1, 2} to {0, 4, 8}: not a map of F_3
-    with pytest.raises(ImageOutOfDomain):
+    with pytest.raises(ImageOutOfDomain, match=r"^h\(1\) = 4 outside F_3$"):
         h_permutes_subfield(F, 3, (3, 0))
 
 
