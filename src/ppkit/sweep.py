@@ -13,7 +13,10 @@ import contextlib
 import csv
 import io
 import json
-from itertools import chain
+from array import array
+from collections import Counter
+from collections.abc import Sequence
+from itertools import chain, count, islice, repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -29,6 +32,8 @@ class SweepRecord(NamedTuple):
 
     A named tuple, so the head (tid, p, m, u, i, d) is record[:6] and the
     verdict (predicted, matched_case, oracle, agree, note) is record[8:].
+    A sweep holds its records as SweepRecords' columns, and makes a
+    SweepRecord only when one is read.
     """
 
     tid: str
@@ -47,6 +52,60 @@ class SweepRecord(NamedTuple):
 
     def serialize(self) -> dict:
         return self._asdict()
+
+
+class SweepRecords(Sequence):
+    """Records as four equal-length columns: heads, deltas, gammas, tails.
+
+    A head (tid, p, m, u, i, d) is one tuple shared by every record of its i,
+    and a tail (predicted, matched_case, oracle, agree, note) one tuple shared
+    by every record of its verdict and oracle bit; a sweep keeps delta and
+    gamma as unsigned 32-bit ints.  It reads as the list of its records: an
+    index or iteration makes each SweepRecord as it is read, a slice is a
+    SweepRecords, `+ list` is a list, and it equals a list of equal records.
+    """
+
+    __slots__ = ("heads", "deltas", "gammas", "tails")
+
+    def __init__(self, heads=None, deltas=None, gammas=None, tails=None):
+        if heads is None:
+            heads, deltas, gammas, tails = [], array("I"), array("I"), []
+        self.heads, self.deltas, self.gammas, self.tails = heads, deltas, gammas, tails
+
+    @classmethod
+    def of(cls, records) -> SweepRecords:
+        """records, any iterable of SweepRecord or of tuples of its 13 fields,
+        as columns, with equal heads and equal tails as one object each; a
+        SweepRecords is returned as it is."""
+        if isinstance(records, cls):
+            return records
+        rows, shared = list(records), {}
+        one = lambda t: shared.setdefault(t, t)
+        return cls([one(r[:6]) for r in rows], [r[6] for r in rows], [r[7] for r in rows],
+                   [one(r[8:]) for r in rows])
+
+    def __len__(self) -> int:
+        return len(self.tails)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return SweepRecords(self.heads[k], self.deltas[k], self.gammas[k], self.tails[k])
+        return SweepRecord._make((*self.heads[k], self.deltas[k], self.gammas[k], *self.tails[k]))
+
+    def __iter__(self):
+        make = SweepRecord._make
+        for h, delta, gamma, t in zip(self.heads, self.deltas, self.gammas, self.tails):
+            yield make((*h, delta, gamma, *t))
+
+    def __eq__(self, other):
+        if isinstance(other, (SweepRecords, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __add__(self, other):
+        if isinstance(other, list):
+            return list(self) + other
+        return NotImplemented
 
 
 def _trace_rows(field, d: int, gammas):
@@ -75,27 +134,34 @@ def _shared_products(ctx, rows, gammas):
         yield delta, acc, blocks
 
 
-def _records(ctx, tid: str, i, d, deltas, gammas) -> list[SweepRecord]:
-    """The records of one i at each delta of deltas and gamma of gammas.
+def _records(out: SweepRecords, ctx, tid: str, i, d, deltas, gammas):
+    """Append to out's columns the records of one i at each delta of deltas and
+    gamma of gammas.
 
-    Each record is made in one call, SweepRecord._make of the flat tuple of
-    its 13 fields; no other code makes a SweepRecord.
     The oracle runs on every record, one image vector at a time; predict gets
     one verdict table, bound to this theorem, field, i and d, so the theorem
     is checked once and one verdict computed per (trace class of delta, gamma).
+    A tail is made once per verdict object and oracle bit, and found again by
+    the verdict's id (a Verdict's own hash would hash its fields on every
+    record); each verdict it was made from is kept in `made` until the i is
+    done, so no id is reused.
     """
     head, rows = _head_rows(ctx, tid, i, d, deltas, gammas)
-    records, make, order = [], SweepRecord._make, ctx.order
+    order, start, made = ctx.order, len(out), []
     predict, permutes, bound = criteria.predict, images_permute, criteria._bind(tid, ctx, i, d)
+    by_oracle, append = ({}, {}), out.tails.append
     for delta, acc, blocks in rows:
         for gamma, images in zip(gammas, chain.from_iterable(ctx.line_rows(acc, blocks)), strict=True):
             pp = permutes(images, order)
             v = predict(tid, ctx, delta, gamma, i, d, _bound=bound)
-            records.append(
-                make((*head, delta, gamma, v.predicted, v.matched_case, pp,
-                      v.predicted == pp, v.notes))
-            )
-    return records
+            t = by_oracle[pp].get(id(v))
+            if t is None:
+                t = by_oracle[pp][id(v)] = (v.predicted, v.matched_case, pp, v.predicted == pp, v.notes)
+                made.append(v)
+            append(t)
+        out.deltas.extend(repeat(delta, len(gammas)))
+        out.gammas.extend(gammas)
+    out.heads.extend(repeat(head, len(out) - start))
 
 
 def _head_rows(ctx, tid: str, i: Optional[int], d: Optional[int], deltas, gammas):
@@ -116,7 +182,7 @@ def sweep_theorem(
     i: Optional[int] = None,
     d: Optional[int] = None,
     probe_hypotheses: bool = False,
-) -> list[SweepRecord]:
+) -> SweepRecords:
     """All records for one theorem over F_{p^m}, in (i, delta, gamma) order."""
     info = theorem_info(tid)
     ctx = theorem_context(tid, p, m, u, i, d)
@@ -128,44 +194,36 @@ def sweep_theorem(
         gammas = range(ctx.order)
     else:
         gammas = range(1, ctx.q if info.gamma_domain == "Fq_star" else ctx.order)
-    return [
-        r
-        for iv in i_values
-        for r in _records(ctx, tid, iv, d, range(ctx.order), gammas)
-    ]
+    records = SweepRecords()
+    for iv in i_values:
+        _records(records, ctx, tid, iv, d, range(ctx.order), gammas)
+    return records
 
 
-def disagreements(records: list[SweepRecord]) -> list[SweepRecord]:
+def disagreements(records) -> list[SweepRecord]:
     """Records where prediction and oracle differ, hypothesis violations excluded."""
     exempt = criteria.HYPOTHESIS_VIOLATED
     return [r for r in records if not r.agree and not (r.note or "").startswith(exempt)]
 
 
-def summarize(records: list[SweepRecord]) -> dict:
-    """Counts over records, in one pass; disagreements() sees only the records
-    whose prediction and oracle differ."""
-    predicted = oracle = 0
-    differ = []
-    for r in records:
-        if r.predicted:
-            predicted += 1
-        if r.oracle:
-            oracle += 1
-        if not r.agree:
-            differ.append(r)
+def summarize(records) -> dict:
+    """Counts over records, read off their tails: one record is made per
+    distinct tail object, and counts for every record that holds that tail."""
+    cols = SweepRecords.of(records)
+    held = Counter(map(id, cols.tails))  # streamed: a list of the ids would be 40 B a record
+    last = dict(zip(map(id, cols.tails), count()))  # each tail's last record
+    one = {t: cols[k] for t, k in last.items()}
+    flagged = set(map(id, disagreements(one.values())))
     return {
-        "records": len(records),
-        "disagreements": len(disagreements(differ)),
-        "predicted_true": predicted,
-        "oracle_true": oracle,
+        "records": len(cols),
+        "disagreements": sum(held[t] for t, r in one.items() if id(r) in flagged),
+        "predicted_true": sum(held[t] for t, r in one.items() if r.predicted),
+        "oracle_true": sum(held[t] for t, r in one.items() if r.oracle),
     }
 
 
 _FIELDS = list(SweepRecord._fields)
-# the fields before delta (6) and after gamma (7); prebuilt, as a record's
-# r[:6] would build a slice object per record
-_AT_HEAD, _AT_VERDICT = slice(6), slice(8, None)
-_HEAD, _VERDICT = _FIELDS[_AT_HEAD], _FIELDS[_AT_VERDICT]
+_HEAD, _VERDICT = _FIELDS[:6], _FIELDS[8:]  # the fields before delta and after gamma
 
 
 def _csv_cells(values) -> str:
@@ -175,15 +233,22 @@ def _csv_cells(values) -> str:
     return buf.getvalue()[:-2]
 
 
-def write_records(records: list[SweepRecord], out, fmt: str = "jsonl"):
+def _serialized(column, serialize) -> map:
+    """serialize(x) for each x of column, computed once per distinct object."""
+    distinct = dict(zip(map(id, column), column))
+    text = {k: serialize(x) for k, x in distinct.items()}
+    return map(text.__getitem__, map(id, column))
+
+
+def write_records(records, out, fmt: str = "jsonl"):
     """Write records as JSONL or CSV to a path or open stream.
 
     A line is the record's head (tid, p, m, u, i, d), its ints delta and
-    gamma, and its verdict (predicted, matched_case, oracle, agree, note).
-    A sweep has one head and a handful of verdicts, so each distinct head and
-    verdict is serialized once, by json.dumps or the csv writer, and the ints
-    are spliced in between: every line has the bytes of serializing the whole
-    record.
+    gamma, and its verdict tail (predicted, matched_case, oracle, agree,
+    note).  The records are read as SweepRecords' columns, and each head and
+    tail object is serialized once, by json.dumps or the csv writer, with the
+    ints spliced in between: every line has the bytes of serializing the
+    whole record.
     """
     if fmt == "jsonl":
         header, mid = "", ', "gamma": '
@@ -195,15 +260,14 @@ def write_records(records: list[SweepRecord], out, fmt: str = "jsonl"):
         verdict = lambda v: "," + _csv_cells(v) + "\r\n"
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    heads, verdicts = {}, {}
+    cols = SweepRecords.of(records)
+    rows = zip(_serialized(cols.heads, head), cols.deltas, cols.gammas, _serialized(cols.tails, verdict))
+    lines = (f"{hs}{delta}{mid}{gamma}{ts}" for hs, delta, gamma, ts in rows)
     with contextlib.nullcontext(out) if hasattr(out, "write") else open(out, "w") as stream:
         write = stream.write
         write(header)
-        for r in records:
-            h, v = r[_AT_HEAD], r[_AT_VERDICT]
-            hs = heads.get(h) or heads.setdefault(h, head(h))
-            vs = verdicts.get(v) or verdicts.setdefault(v, verdict(v))
-            write(f"{hs}{r[6]}{mid}{r[7]}{vs}")
+        while chunk := "".join(islice(lines, 4096)):  # one write per 4,096 lines
+            write(chunk)
 
 
 def check_single(
@@ -226,5 +290,6 @@ def check_on(ctx, tid: str, delta: int, gamma: int, i: Optional[int] = None,
     and d: delta and gamma are checked here, raising what theorem_context
     would have raised for them."""
     theorem_info(tid).check(ctx, i, d, delta=delta, gamma=gamma)
-    [record] = _records(ctx, tid, i, d, (delta,), (gamma,))
-    return record
+    records = SweepRecords()
+    _records(records, ctx, tid, i, d, (delta,), (gamma,))
+    return records[0]

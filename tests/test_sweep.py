@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +110,48 @@ def test_write_jsonl_and_csv():
     assert len(rows) == 4 and rows[0]["tid"] == "3.14"
     with pytest.raises(ValueError):
         write_records(recs, io.StringIO(), "xml")
+
+
+@pytest.mark.parametrize(
+    "args, kw, heads",
+    [(("3.13", 3, 3), {}, {1, 2}), (("4.1", 2, 3), {"d": 3}, {None}), (("3.13", 3, 1), {}, set())],
+    ids=["3.13-F27-two-heads", "4.1-F8-d3", "3.13-F3-empty"],
+)
+def test_sweep_records_act_as_the_list_they_replace(args, kw, heads):
+    recs = sweep_theorem(*args, **kw)
+    rows = list(recs)
+    assert isinstance(recs, sweep.SweepRecords) and all(type(r) is SweepRecord for r in rows)
+    assert {r.i for r in recs} == heads
+    n = len(rows)
+    assert len(recs) == n and bool(recs) == bool(rows)
+    assert recs == rows and rows == recs and recs == recs[:]
+    assert [r for r in recs] == rows
+    for k in (0, n // 2, n - 1, -1, -n) if n else ():
+        assert recs[k] == rows[k]
+    with pytest.raises(IndexError):
+        recs[n]
+    part = recs[n // 3 : n // 2 + 1]
+    assert isinstance(part, sweep.SweepRecords) and part == rows[n // 3 : n // 2 + 1]
+    extra = [check_single("3.14", 3, 1, delta=0, gamma=1)]
+    assert type(recs + extra) is list and recs + extra == rows + extra
+    for fmt in ("jsonl", "csv"):
+        columns, listed = io.StringIO(), io.StringIO()
+        write_records(recs, columns, fmt)
+        write_records(rows, listed, fmt)
+        assert columns.getvalue().encode() == listed.getvalue().encode()
+    assert summarize(recs) == summarize(rows)
+
+
+def test_a_sweep_holds_at_most_64_bytes_per_record():
+    sweep_theorem("3.14", 3, 3)  # tables, kept vectors and caches, made once
+    tracemalloc.start()
+    try:
+        recs = sweep_theorem("3.14", 3, 3)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one 13-field named tuple per record held 161 bytes a record
+    assert len(recs) == 18954 and held / len(recs) <= 64
 
 
 def test_write_to_path(tmp_path):
