@@ -14,9 +14,8 @@ import csv
 import io
 import json
 from array import array
-from collections import Counter
 from collections.abc import Sequence
-from itertools import chain, count, islice, repeat
+from itertools import chain, islice, repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -55,47 +54,50 @@ class SweepRecord(NamedTuple):
 
 
 class SweepRecords(Sequence):
-    """Records as four equal-length columns: heads, deltas, gammas, tails.
+    """Records as three equal-length columns, deltas, gammas and codes, and
+    the kinds that the codes index.
 
-    A head (tid, p, m, u, i, d) is one tuple shared by every record of its i,
-    and a tail (predicted, matched_case, oracle, agree, note) one tuple shared
-    by every record of its verdict and oracle bit; a sweep keeps delta and
-    gamma as unsigned 32-bit ints.  It reads as the list of its records: an
-    index or iteration makes each SweepRecord as it is read, a slice is a
-    SweepRecords, `+ list` is a list, and it equals a list of equal records.
+    A kind is a (head, tail) pair that records share: the head (tid, p, m, u,
+    i, d) and the verdict tail (predicted, matched_case, oracle, agree,
+    note).  A sweep makes one kind per i, verdict and oracle bit, and keeps
+    delta, gamma and code as unsigned 32-bit ints.  It reads as the list of
+    its records: an index or iteration makes each SweepRecord as it is read,
+    a slice is a SweepRecords with the same kinds, `+ list` is a list, and it
+    equals a list of equal records.
     """
 
-    __slots__ = ("heads", "deltas", "gammas", "tails")
+    __slots__ = ("deltas", "gammas", "codes", "kinds")
 
-    def __init__(self, heads=None, deltas=None, gammas=None, tails=None):
-        if heads is None:
-            heads, deltas, gammas, tails = [], array("I"), array("I"), []
-        self.heads, self.deltas, self.gammas, self.tails = heads, deltas, gammas, tails
+    def __init__(self, deltas=None, gammas=None, codes=None, kinds=None):
+        if deltas is None:
+            deltas, gammas, codes, kinds = array("I"), array("I"), array("I"), []
+        self.deltas, self.gammas, self.codes, self.kinds = deltas, gammas, codes, kinds
 
     @classmethod
     def of(cls, records) -> SweepRecords:
         """records, any iterable of SweepRecord or of tuples of its 13 fields,
-        as columns, with equal heads and equal tails as one object each; a
-        SweepRecords is returned as it is."""
+        as columns, with one kind per distinct (head, tail); a SweepRecords is
+        returned as it is."""
         if isinstance(records, cls):
             return records
-        rows, shared = list(records), {}
-        one = lambda t: shared.setdefault(t, t)
-        return cls([one(r[:6]) for r in rows], [r[6] for r in rows], [r[7] for r in rows],
-                   [one(r[8:]) for r in rows])
+        rows, kinds = list(records), {}
+        codes = array("I", [kinds.setdefault((r[:6], r[8:]), len(kinds)) for r in rows])
+        return cls([r[6] for r in rows], [r[7] for r in rows], codes, list(kinds))
 
     def __len__(self) -> int:
-        return len(self.tails)
+        return len(self.codes)
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            return SweepRecords(self.heads[k], self.deltas[k], self.gammas[k], self.tails[k])
-        return SweepRecord._make((*self.heads[k], self.deltas[k], self.gammas[k], *self.tails[k]))
+            return SweepRecords(self.deltas[k], self.gammas[k], self.codes[k], self.kinds)
+        head, tail = self.kinds[self.codes[k]]
+        return SweepRecord._make((*head, self.deltas[k], self.gammas[k], *tail))
 
     def __iter__(self):
-        make = SweepRecord._make
-        for h, delta, gamma, t in zip(self.heads, self.deltas, self.gammas, self.tails):
-            yield make((*h, delta, gamma, *t))
+        make, kinds = SweepRecord._make, self.kinds
+        for delta, gamma, code in zip(self.deltas, self.gammas, self.codes):
+            head, tail = kinds[code]
+            yield make((*head, delta, gamma, *tail))
 
     def __eq__(self, other):
         if isinstance(other, (SweepRecords, list)):
@@ -124,7 +126,7 @@ def _trace_rows(field, d: int, gammas):
 def _shared_products(ctx, rows, gammas):
     """Rows (delta, acc, lin) as (delta, acc, blocks of gamma * lin).
 
-    gamma * lin does not depend on delta: the blocks are made once per lin
+    gamma * lin does not depend on delta: the blocks are formed once per lin
     object and kept, as a list, for every row that shares it.
     """
     lin0 = blocks = None
@@ -141,27 +143,24 @@ def _records(out: SweepRecords, ctx, tid: str, i, d, deltas, gammas):
     The oracle runs on every record, one image vector at a time; predict gets
     one verdict table, bound to this theorem, field, i and d, so the theorem
     is checked once and one verdict computed per (trace class of delta, gamma).
-    A tail is made once per verdict object and oracle bit, and found again by
-    the verdict's id (a Verdict's own hash would hash its fields on every
-    record); each verdict it was made from is kept in `made` until the i is
-    done, so no id is reused.
+    A kind is built once per verdict value and oracle bit, and found again by
+    the verdict, a named tuple of three fields.
     """
     head, rows = _head_rows(ctx, tid, i, d, deltas, gammas)
-    order, start, made = ctx.order, len(out), []
+    order, kinds = ctx.order, out.kinds
     predict, permutes, bound = criteria.predict, images_permute, criteria._bind(tid, ctx, i, d)
-    by_oracle, append = ({}, {}), out.tails.append
+    by_oracle, append = ({}, {}), out.codes.append
     for delta, acc, blocks in rows:
         for gamma, images in zip(gammas, chain.from_iterable(ctx.line_rows(acc, blocks)), strict=True):
             pp = permutes(images, order)
             v = predict(tid, ctx, delta, gamma, i, d, _bound=bound)
-            t = by_oracle[pp].get(id(v))
-            if t is None:
-                t = by_oracle[pp][id(v)] = (v.predicted, v.matched_case, pp, v.predicted == pp, v.notes)
-                made.append(v)
-            append(t)
+            code = by_oracle[pp].get(v)
+            if code is None:
+                code = by_oracle[pp][v] = len(kinds)
+                kinds.append((head, (v.predicted, v.matched_case, pp, v.predicted == pp, v.notes)))
+            append(code)
         out.deltas.extend(repeat(delta, len(gammas)))
         out.gammas.extend(gammas)
-    out.heads.extend(repeat(head, len(out) - start))
 
 
 def _head_rows(ctx, tid: str, i: Optional[int], d: Optional[int], deltas, gammas):
@@ -207,18 +206,17 @@ def disagreements(records) -> list[SweepRecord]:
 
 
 def summarize(records) -> dict:
-    """Counts over records, read off their tails: one record is made per
-    distinct tail object, and counts for every record that holds that tail."""
+    """Counts over records, read off their kinds: each code is counted once,
+    and the one record built per kind counts for every record of that kind."""
     cols = SweepRecords.of(records)
-    held = Counter(map(id, cols.tails))  # streamed: a list of the ids would be 40 B a record
-    last = dict(zip(map(id, cols.tails), count()))  # each tail's last record
-    one = {t: cols[k] for t, k in last.items()}
-    flagged = set(map(id, disagreements(one.values())))
+    held = np.bincount(np.asarray(cols.codes), minlength=len(cols.kinds)).tolist()
+    one = [SweepRecord._make((*head, 0, 0, *tail)) for head, tail in cols.kinds]  # delta, gamma unread
+    flagged = set(disagreements(one))
     return {
         "records": len(cols),
-        "disagreements": sum(held[t] for t, r in one.items() if id(r) in flagged),
-        "predicted_true": sum(held[t] for t, r in one.items() if r.predicted),
-        "oracle_true": sum(held[t] for t, r in one.items() if r.oracle),
+        "disagreements": sum(n for n, r in zip(held, one) if r in flagged),
+        "predicted_true": sum(n for n, r in zip(held, one) if r.predicted),
+        "oracle_true": sum(n for n, r in zip(held, one) if r.oracle),
     }
 
 
@@ -233,22 +231,15 @@ def _csv_cells(values) -> str:
     return buf.getvalue()[:-2]
 
 
-def _serialized(column, serialize) -> map:
-    """serialize(x) for each x of column, computed once per distinct object."""
-    distinct = dict(zip(map(id, column), column))
-    text = {k: serialize(x) for k, x in distinct.items()}
-    return map(text.__getitem__, map(id, column))
-
-
 def write_records(records, out, fmt: str = "jsonl"):
     """Write records as JSONL or CSV to a path or open stream.
 
     A line is the record's head (tid, p, m, u, i, d), its ints delta and
     gamma, and its verdict tail (predicted, matched_case, oracle, agree,
-    note).  The records are read as SweepRecords' columns, and each head and
-    tail object is serialized once, by json.dumps or the csv writer, with the
-    ints spliced in between: every line has the bytes of serializing the
-    whole record.
+    note).  The records are read as SweepRecords' columns: each kind is
+    serialized once, by json.dumps or the csv writer, into a prefix and a
+    suffix indexed by code, with the ints spliced in between, so every line
+    has the bytes of serializing the whole record.
     """
     if fmt == "jsonl":
         header, mid = "", ', "gamma": '
@@ -261,7 +252,8 @@ def write_records(records, out, fmt: str = "jsonl"):
     else:
         raise ValueError(f"unknown format {fmt!r}")
     cols = SweepRecords.of(records)
-    rows = zip(_serialized(cols.heads, head), cols.deltas, cols.gammas, _serialized(cols.tails, verdict))
+    prefix, suffix, codes = [head(h) for h, _ in cols.kinds], [verdict(t) for _, t in cols.kinds], cols.codes
+    rows = zip(map(prefix.__getitem__, codes), cols.deltas, cols.gammas, map(suffix.__getitem__, codes))
     lines = (f"{hs}{delta}{mid}{gamma}{ts}" for hs, delta, gamma, ts in rows)
     with contextlib.nullcontext(out) if hasattr(out, "write") else open(out, "w") as stream:
         write = stream.write

@@ -122,6 +122,7 @@ def test_sweep_records_act_as_the_list_they_replace(args, kw, heads):
     rows = list(recs)
     assert isinstance(recs, sweep.SweepRecords) and all(type(r) is SweepRecord for r in rows)
     assert {r.i for r in recs} == heads
+    assert len(recs.kinds) == len({(r[:6], r[8:]) for r in rows})
     n = len(rows)
     assert len(recs) == n and bool(recs) == bool(rows)
     assert recs == rows and rows == recs and recs == recs[:]
@@ -132,6 +133,7 @@ def test_sweep_records_act_as_the_list_they_replace(args, kw, heads):
         recs[n]
     part = recs[n // 3 : n // 2 + 1]
     assert isinstance(part, sweep.SweepRecords) and part == rows[n // 3 : n // 2 + 1]
+    assert part.kinds is recs.kinds
     extra = [check_single("3.14", 3, 1, delta=0, gamma=1)]
     assert type(recs + extra) is list and recs + extra == rows + extra
     for fmt in ("jsonl", "csv"):
@@ -142,7 +144,14 @@ def test_sweep_records_act_as_the_list_they_replace(args, kw, heads):
     assert summarize(recs) == summarize(rows)
 
 
-def test_a_sweep_holds_at_most_64_bytes_per_record():
+def test_sweep_kinds_are_keyed_by_value_not_by_object(monkeypatch):
+    # every class verdict a new object: one kind still serves all equal ones
+    monkeypatch.setitem(criteria._STATEMENTS, "3.14", lambda *a: criteria.Verdict(True, "3.14(a)"))
+    recs = sweep_theorem("3.14", 3, 2)
+    assert len(recs) == 648 and len(recs.kinds) == len({(r[:6], r[8:]) for r in recs}) == 1
+
+
+def test_a_sweep_holds_at_most_16_bytes_per_record():
     sweep_theorem("3.14", 3, 3)  # tables, kept vectors and caches, made once
     tracemalloc.start()
     try:
@@ -150,8 +159,9 @@ def test_a_sweep_holds_at_most_64_bytes_per_record():
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # one 13-field named tuple per record held 161 bytes a record
-    assert len(recs) == 18954 and held / len(recs) <= 64
+    # one 13-field named tuple per record held 161 bytes a record; a head and
+    # a tail column of shared tuples, 24.5
+    assert len(recs) == 18954 and held / len(recs) <= 16
 
 
 def test_write_to_path(tmp_path):
