@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -162,6 +163,21 @@ def test_a_sweep_holds_at_most_16_bytes_per_record():
     # one 13-field named tuple per record held 161 bytes a record; a head and
     # a tail column of shared tuples, 24.5
     assert len(recs) == 18954 and held / len(recs) <= 16
+
+
+def test_writing_a_sweep_holds_at_most_256_kb_beyond_its_records():
+    recs = sweep_theorem("3.6", 5, 2)
+    sink = types.SimpleNamespace(write=lambda text: None)
+    write_records(recs, sink, "jsonl")  # json's and csv's own first-call state
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        write_records(recs, sink, "jsonl")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one join of 4,096 lines peaked at 2.37 MB; one of 256 lines, at 152 KB
+    assert len(recs) == 15000 and peak - start <= 256 * 1024
 
 
 def test_write_to_path(tmp_path):
@@ -470,6 +486,25 @@ def test_write_records_equals_whole_record_serialization(fmt, tmp_path):
     buf = io.StringIO()
     write_records([], buf, fmt)
     assert buf.getvalue() == _reference_lines([], fmt)
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("n", [0, 1, sweep._WRITE_LINES - 1, sweep._WRITE_LINES,
+                               sweep._WRITE_LINES + 1, 2 * sweep._WRITE_LINES + 1])
+def test_write_records_across_write_boundaries(n, fmt, tmp_path, monkeypatch):
+    made = _made_up_records()
+    recs = (made * (n // len(made) + 1))[:n]
+    want = _reference_lines(recs, fmt)
+    buf = io.StringIO()
+    write_records(recs, buf, fmt)
+    assert buf.getvalue() == want
+    # a path is written as on a platform whose text files end lines in \r\n:
+    # only newline="" keeps CSV's \r\n from becoming \r\r\n there
+    monkeypatch.setattr(sweep, "open", lambda file, mode, newline=None: open(
+        file, mode, newline="\r\n" if newline is None else newline), raising=False)
+    out = tmp_path / f"recs.{fmt}"
+    write_records(recs, str(out), fmt)
+    assert out.read_bytes() == want.encode()
 
 
 def test_bad_format_leaves_the_file_alone(tmp_path):
